@@ -4,13 +4,8 @@
 #include <bit>
 #include <vector>
 
+#include "bfs/level_driver.h"
 #include "util/aligned_buffer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/bfs_instrument.h"
-#include "obs/trace.h"
-#include "util/timer.h"
-#endif
 
 namespace pbfs {
 namespace {
@@ -114,18 +109,20 @@ uint64_t BottomUp(const Graph& graph, const uint64_t* frontier, uint64_t* next,
   return awake;
 }
 
+// Indexed by BeamerVariant.
+constexpr struct {
+  const char* name;
+  LevelSpanNames spans;
+} kBeamerNames[] = {
+    {"beamer-sparse", {"beamer-sparse.run", "beamer-sparse.level"}},
+    {"beamer-dense", {"beamer-dense.run", "beamer-dense.level"}},
+    {"beamer-gapbs", {"beamer-gapbs.run", "beamer-gapbs.level"}},
+};
+
 }  // namespace
 
 const char* BeamerVariantName(BeamerVariant variant) {
-  switch (variant) {
-    case BeamerVariant::kSparse:
-      return "beamer-sparse";
-    case BeamerVariant::kDense:
-      return "beamer-dense";
-    case BeamerVariant::kGapbs:
-      return "beamer-gapbs";
-  }
-  return "unknown";
+  return kBeamerNames[static_cast<int>(variant)].name;
 }
 
 BfsResult BeamerBfs(const Graph& graph, Vertex source, BeamerVariant variant,
@@ -135,6 +132,9 @@ BfsResult BeamerBfs(const Graph& graph, Vertex source, BeamerVariant variant,
   const size_t num_words = (static_cast<size_t>(n) + 63) / 64;
   const bool chunk_skip = variant != BeamerVariant::kGapbs;
   const bool dense_top_down = variant == BeamerVariant::kDense;
+  LevelDriver driver(graph, options, 1,
+                     kBeamerNames[static_cast<int>(variant)].spans);
+  driver.RunArg("source", source);
 
   if (levels != nullptr) std::fill(levels, levels + n, kLevelUnreached);
 
@@ -150,60 +150,19 @@ BfsResult BeamerBfs(const Graph& graph, Vertex source, BeamerVariant variant,
 
   SetBit(seen.data(), source);
   if (levels != nullptr) levels[source] = 0;
-  uint64_t frontier_count = 1;
   if (dense_top_down) {
     SetBit(front_bits.data(), source);
   } else {
     frontier.push_back(source);
   }
   bool frontier_is_dense = dense_top_down;
+  // Degree sum of the frontier: exactly the edges a top-down level scans.
+  uint64_t frontier_edges = graph.Degree(source);
 
-  BfsResult result;
-  result.vertices_visited = 1;
-  uint64_t edges_to_check = graph.num_directed_edges();
-  uint64_t scout_count = graph.Degree(source);
-  Level depth = 0;
-  bool bottom_up = false;
-
-#ifdef PBFS_TRACING
-  const bool tracing = obs::Tracer::Get().enabled();
-  // The level-span name is dynamic (one per Beamer variant), so it goes
-  // through the interner rather than a string literal. Interned even
-  // when no trace session is active: the name doubles as the sampling
-  // profiler's phase tag, which works tracer-less.
-  const char* level_span_name = obs::Tracer::Intern(
-      std::string(BeamerVariantName(variant)) + ".level");
-  obs::ScopedSpan run_span(
-      tracing ? obs::Tracer::Intern(std::string(BeamerVariantName(variant)) +
-                                    ".run")
-              : "beamer.run");
-  run_span.AddArg("source", source);
-#endif
-
-  bool truncated = false;
-  while (frontier_count > 0) {
-    PBFS_CHECK(depth < kMaxLevel);
-    if (depth >= options.max_level) {
-      truncated = true;  // bounded traversal
-      break;
-    }
-    ++depth;
-    ++result.iterations;
-
-    // Direction decision (Beamer heuristic): go bottom-up while the
-    // frontier's outgoing edges dominate the unexplored edges; return to
-    // top-down once the frontier is small again.
-    if (options.enable_bottom_up) {
-      if (!bottom_up &&
-          static_cast<double>(scout_count) >
-              static_cast<double>(edges_to_check) / options.alpha) {
-        bottom_up = true;
-      } else if (bottom_up && static_cast<double>(frontier_count) <
-                                  static_cast<double>(n) / options.beta) {
-        bottom_up = false;
-      }
-    }
-
+  BfsResult result{.vertices_visited = 1};
+  driver.Run(1, frontier_edges, &result, [&](Direction direction,
+                                             Level depth) {
+    const bool bottom_up = direction == Direction::kBottomUp;
     if (bottom_up && !frontier_is_dense) {
       // Sparse -> dense conversion at the direction switch.
       std::fill(front_bits.begin(), front_bits.end(), 0);
@@ -225,59 +184,31 @@ BfsResult BeamerBfs(const Graph& graph, Vertex source, BeamerVariant variant,
       frontier_is_dense = false;
     }
 
-    edges_to_check -= std::min(edges_to_check, scout_count);
-    uint64_t discovered = 0;
-    // Top-down scans exactly the frontier's outgoing edges, which is the
-    // scout count carried over from the previous iteration.
-    uint64_t edges_scanned = bottom_up ? 0 : scout_count;
-#ifdef PBFS_TRACING
-    const obs::BfsLevelProbe level_probe = obs::BeginBfsLevel(
-        tracing, level_span_name, depth,
-        bottom_up ? Direction::kBottomUp : Direction::kTopDown);
-    const uint64_t frontier_entering = frontier_count;
-#endif
+    LevelTask local = driver.BeginTask(0);
     if (bottom_up) {
-      ++result.bottom_up_iterations;
-      discovered = BottomUp(graph, front_bits.data(), next_bits.data(),
-                            seen.data(), levels, depth, n, chunk_skip,
-                            &scout_count, &edges_scanned);
+      local.discovered = BottomUp(graph, front_bits.data(), next_bits.data(),
+                                  seen.data(), levels, depth, n, chunk_skip,
+                                  &local.scout_edges,
+                                  &local.neighbors_visited);
       std::swap(front_bits, next_bits);
       std::fill(next_bits.begin(), next_bits.end(), 0);
     } else if (frontier_is_dense) {
-      scout_count =
+      local.neighbors_visited = frontier_edges;
+      local.scout_edges =
           TopDownDense(graph, front_bits.data(), next_bits.data(), seen.data(),
-                       levels, depth, num_words, &discovered);
+                       levels, depth, num_words, &local.discovered);
       std::swap(front_bits, next_bits);
       std::fill(next_bits.begin(), next_bits.end(), 0);
     } else {
-      scout_count = TopDownSparse(graph, frontier, seen.data(), levels, depth,
-                                  &next, &discovered);
+      local.neighbors_visited = frontier_edges;
+      local.scout_edges = TopDownSparse(graph, frontier, seen.data(), levels,
+                                        depth, &next, &local.discovered);
       frontier.swap(next);
       next.clear();
     }
-#ifdef PBFS_TRACING
-    if (tracing) {
-      obs::TraceEvent event =
-          obs::MakeSpan(level_span_name, level_probe.start_ns, NowNanos());
-      event.AddArg("level", depth);
-      event.AddArg("bottom_up", bottom_up ? 1 : 0);
-      event.AddArg("frontier", frontier_entering);
-      event.AddArg("edges_scanned", edges_scanned);
-      event.AddArg("states_updated", discovered);
-      obs::AddPerfDeltaArgs(event, level_probe.perf_begin,
-                            obs::PerfCounters::ReadCurrentThread());
-      obs::Tracer::Get().Record(event);
-    }
-#else
-    (void)edges_scanned;
-#endif
-    frontier_count = discovered;
-    result.vertices_visited += discovered;
-  }
-  if (!truncated) {
-    --result.iterations;  // the final iteration discovered nothing
-    if (result.iterations < 0) result.iterations = 0;
-  }
+    frontier_edges = local.scout_edges;
+    driver.EndTask(local);
+  });
   return result;
 }
 

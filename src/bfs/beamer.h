@@ -7,10 +7,13 @@
 //   sparse frontier is converted to a bitmap when switching direction.
 // * kDense   — top-down frontier backed by a dense bit array; same
 //   bottom-up.
-// * kGapbs   — a faithful port of the GAP Benchmark Suite reference:
-//   sparse queue top-down, bitmap bottom-up without chunk skipping, and
-//   GAPBS's exact alpha/beta bookkeeping (edge budget updated with the
-//   scout count).
+// * kGapbs   — after the GAP Benchmark Suite reference: sparse queue
+//   top-down, bitmap bottom-up without chunk skipping.
+//
+// All three switch direction with the one alpha/beta rule of the
+// shared level loop (bfs/level_driver.h). GAPBS's own rule — stay
+// bottom-up while the awake count grows, reset the scout count to 1
+// after a bottom-up level — is not implemented.
 #ifndef PBFS_BFS_BEAMER_H_
 #define PBFS_BFS_BEAMER_H_
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bfs/level_driver.h"
 #include "bfs/multi_source.h"
 #include "util/aligned_buffer.h"
 #include "util/bitset.h"
@@ -39,7 +40,13 @@ class JfqMsBfs final : public MultiSourceBfsBase {
     const Vertex n = graph_.num_vertices();
     const int k = static_cast<int>(sources.size());
     PBFS_CHECK(k > 0 && k <= kBits);
-    // Purely top-down; only the max_level option applies.
+    // Purely top-down: the driver sees bottom-up disabled.
+    BfsOptions top_down = options;
+    top_down.enable_bottom_up = false;
+    LevelDriver driver(graph_, top_down, 1,
+                       {"jfq-ms-bfs.run", "jfq-ms-bfs.level"});
+    driver.RunArg("width", kBits);
+    driver.RunArg("sources", k);
 
     seen_.FillZero();
     frontier_.FillZero();
@@ -51,8 +58,6 @@ class JfqMsBfs final : public MultiSourceBfsBase {
       std::fill(levels, levels + static_cast<size_t>(k) * n, kLevelUnreached);
     }
 
-    MsBfsResult result;
-    result.total_visits = k;
     for (int i = 0; i < k; ++i) {
       PBFS_CHECK(sources[i] < n);
       if (frontier_[sources[i]].None()) queue_.push_back(sources[i]);
@@ -61,24 +66,23 @@ class JfqMsBfs final : public MultiSourceBfsBase {
       if (levels != nullptr) levels[static_cast<size_t>(i) * n + sources[i]] = 0;
     }
 
-    Level depth = 0;
-    while (!queue_.empty()) {
-      PBFS_CHECK(depth < kMaxLevel);
-      if (depth >= options.max_level) break;  // bounded traversal
-      ++depth;
-      uint64_t discovered_vertices = 0;
+    MsBfsResult result{.total_visits = static_cast<uint64_t>(k)};
+    // Scout edges only steer the bottom-up switch, which is disabled.
+    driver.Run(queue_.size(), 0, &result, [&](Direction, Level depth) {
+      LevelTask local = driver.BeginTask(0);
       for (Vertex v : queue_) {
         const Bitset<kBits> f = frontier_[v];
+        local.neighbors_visited += graph_.Degree(v);
         for (Vertex nb : graph_.Neighbors(v)) {
           Bitset<kBits> fresh = f & ~seen_[nb];
           if (fresh.None()) continue;
           seen_[nb] |= fresh;
           next_[nb] |= fresh;
-          result.total_visits += fresh.Count();
+          local.visits += fresh.Count();
           if (!in_next_queue_[nb]) {
             in_next_queue_[nb] = 1;
             next_queue_.push_back(nb);
-            ++discovered_vertices;
+            ++local.discovered;
           }
           if (levels != nullptr) {
             fresh.ForEachSetBit([&](int bfs) {
@@ -93,8 +97,8 @@ class JfqMsBfs final : public MultiSourceBfsBase {
       queue_.swap(next_queue_);
       next_queue_.clear();
       for (Vertex v : queue_) in_next_queue_[v] = 0;
-      if (discovered_vertices > 0) ++result.iterations;
-    }
+      driver.EndTask(local);
+    });
     return result;
   }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "bfs/level_driver.h"
 #include "bfs/multi_source.h"
 #include "util/aligned_buffer.h"
 #include "util/bitset.h"
@@ -34,6 +35,10 @@ class MsBfs final : public MultiSourceBfsBase {
     const int k = static_cast<int>(sources.size());
     PBFS_CHECK(k > 0 && k <= kBits);
 
+    LevelDriver driver(graph_, options, 1, {"ms-bfs.run", "ms-bfs.level"});
+    driver.RunArg("width", kBits);
+    driver.RunArg("sources", k);
+
     seen_.FillZero();
     frontier_.FillZero();
     next_.FillZero();
@@ -46,9 +51,6 @@ class MsBfs final : public MultiSourceBfsBase {
       frontier_[sources[i]].Set(i);
       if (levels != nullptr) levels[static_cast<size_t>(i) * n + sources[i]] = 0;
     }
-
-    MsBfsResult result;
-    result.total_visits = k;
 
     uint64_t frontier_vertices = 0;  // distinct initial frontier vertices
     uint64_t scout_edges = 0;
@@ -63,36 +65,16 @@ class MsBfs final : public MultiSourceBfsBase {
       }
       if (first) ++frontier_vertices;
     }
-    uint64_t edges_to_check = graph_.num_directed_edges();
-    bool bottom_up = false;
-    Level depth = 0;
 
-    while (frontier_vertices > 0) {
-      PBFS_CHECK(depth < kMaxLevel);
-      if (depth >= options.max_level) break;  // bounded traversal
-      ++depth;
-
-      if (options.enable_bottom_up) {
-        if (!bottom_up && static_cast<double>(scout_edges) >
-                              static_cast<double>(edges_to_check) /
-                                  options.alpha) {
-          bottom_up = true;
-        } else if (bottom_up &&
-                   static_cast<double>(frontier_vertices) <
-                       static_cast<double>(n) / options.beta) {
-          bottom_up = false;
-        }
-      }
-      edges_to_check -= std::min(edges_to_check, scout_edges);
-
-      uint64_t discovered_vertices = 0;
-      uint64_t discovered_visits = 0;
-      scout_edges = 0;
-
-      if (!bottom_up) {
+    MsBfsResult result{.total_visits = static_cast<uint64_t>(k)};
+    driver.Run(frontier_vertices, scout_edges, &result,
+               [&](Direction direction, Level depth) {
+      LevelTask local = driver.BeginTask(0);
+      if (direction == Direction::kTopDown) {
         // Listing 1, first phase: aggregate reachability into next.
         for (Vertex v = 0; v < n; ++v) {
           if (frontier_[v].None()) continue;
+          local.neighbors_visited += graph_.Degree(v);
           for (Vertex nb : graph_.Neighbors(v)) {
             next_[nb] |= frontier_[v];
           }
@@ -104,9 +86,9 @@ class MsBfs final : public MultiSourceBfsBase {
           seen_[v] |= next_[v];
           if (next_[v].Any()) {
             Visit(v, next_[v], depth, levels);
-            ++discovered_vertices;
-            discovered_visits += next_[v].Count();
-            scout_edges += graph_.Degree(v);
+            ++local.discovered;
+            local.visits += next_[v].Count();
+            local.scout_edges += graph_.Degree(v);
           }
         }
       } else {
@@ -114,6 +96,7 @@ class MsBfs final : public MultiSourceBfsBase {
         const Bitset<kBits> all = Bitset<kBits>::LowBits(k);
         for (Vertex u = 0; u < n; ++u) {
           if (seen_[u] == all) continue;
+          local.neighbors_visited += graph_.Degree(u);
           for (Vertex v : graph_.Neighbors(u)) {
             next_[u] |= frontier_[v];
           }
@@ -121,9 +104,9 @@ class MsBfs final : public MultiSourceBfsBase {
           seen_[u] |= next_[u];
           if (next_[u].Any()) {
             Visit(u, next_[u], depth, levels);
-            ++discovered_vertices;
-            discovered_visits += next_[u].Count();
-            scout_edges += graph_.Degree(u);
+            ++local.discovered;
+            local.visits += next_[u].Count();
+            local.scout_edges += graph_.Degree(u);
           }
         }
       }
@@ -132,14 +115,8 @@ class MsBfs final : public MultiSourceBfsBase {
       // a separate pass (the memory traffic MS-PBFS avoids in top-down).
       std::swap(frontier_, next_);
       next_.FillZero();
-
-      result.total_visits += discovered_visits;
-      if (discovered_vertices > 0) {
-        ++result.iterations;
-        if (bottom_up) ++result.bottom_up_iterations;
-      }
-      frontier_vertices = discovered_vertices;
-    }
+      driver.EndTask(local);
+    });
     return result;
   }
 

@@ -21,28 +21,16 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
+#include "bfs/level_driver.h"
 #include "bfs/multi_source.h"
 #include "sched/numa_layout.h"
 #include "util/aligned_buffer.h"
 #include "util/bitset.h"
 #include "util/check.h"
-#include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/bfs_instrument.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-// Per-worker reduction slot, cache-line padded to avoid false sharing.
-struct alignas(kCacheLineSize) WorkerReduction {
-  uint64_t discovered_vertices = 0;
-  uint64_t discovered_visits = 0;
-  uint64_t scout_edges = 0;
-};
 
 template <int kBits>
 class MsPbfs final : public MultiSourceBfsBase {
@@ -53,7 +41,6 @@ class MsPbfs final : public MultiSourceBfsBase {
     seen_.Reset(n);
     frontier_.Reset(n);
     next_.Reset(n);
-    reduction_.assign(executor->num_workers(), WorkerReduction{});
     // First touch with stealing disabled: pages of all three state
     // arrays are placed on the NUMA node of the worker that owns the
     // corresponding task range (Section 4.4). Uses the same split size
@@ -80,16 +67,10 @@ class MsPbfs final : public MultiSourceBfsBase {
     PBFS_CHECK(k > 0 && k <= kBits);
     const uint32_t split =
         PageAlignedSplitSize(options.split_size, sizeof(Bitset<kBits>));
-    TraversalStats* stats = options.stats;
-#ifdef PBFS_TRACING
-    TraversalStats tracing_stats;
-    const bool tracing = obs::Tracer::Get().enabled();
-    if (tracing && stats == nullptr) stats = &tracing_stats;
-    obs::ScopedSpan run_span("ms-pbfs.run");
-    run_span.AddArg("width", static_cast<uint64_t>(kBits));
-    run_span.AddArg("sources", static_cast<uint64_t>(k));
-#endif
-    if (stats != nullptr) stats->Reset(executor_->num_workers());
+    LevelDriver driver(graph_, options, executor_->num_workers(),
+                       {"ms-pbfs.run", "ms-pbfs.level"});
+    driver.RunArg("width", kBits);
+    driver.RunArg("sources", k);
 
     // State may be dirty from a previous batch; clear in parallel with
     // owner-only tasks to keep page placement intact.
@@ -102,8 +83,6 @@ class MsPbfs final : public MultiSourceBfsBase {
       std::fill(levels, levels + static_cast<size_t>(k) * n, kLevelUnreached);
     }
 
-    MsBfsResult result;
-    result.total_visits = k;
     uint64_t frontier_vertices = 0;
     uint64_t scout_edges = 0;
     for (int i = 0; i < k; ++i) {
@@ -116,101 +95,40 @@ class MsPbfs final : public MultiSourceBfsBase {
     }
 
     const Bitset<kBits> active = Bitset<kBits>::LowBits(k);
-    uint64_t edges_to_check = graph_.num_directed_edges();
-    bool bottom_up = false;
-    Level depth = 0;
-
-    while (frontier_vertices > 0) {
-      PBFS_CHECK(depth < kMaxLevel);
-      if (depth >= options.max_level) break;  // bounded traversal
-      ++depth;
-
-      if (options.enable_bottom_up) {
-        if (!bottom_up && static_cast<double>(scout_edges) >
-                              static_cast<double>(edges_to_check) /
-                                  options.alpha) {
-          bottom_up = true;
-        } else if (bottom_up &&
-                   static_cast<double>(frontier_vertices) <
-                       static_cast<double>(n) / options.beta) {
-          bottom_up = false;
-        }
-      }
-      edges_to_check -= std::min(edges_to_check, scout_edges);
-
-      for (WorkerReduction& r : reduction_) r = WorkerReduction{};
-      Timer iteration_timer;
-#ifdef PBFS_TRACING
-      const obs::BfsLevelProbe level_probe = obs::BeginBfsLevel(
-          tracing, "ms-pbfs.level", depth,
-          bottom_up ? Direction::kBottomUp : Direction::kTopDown);
-#endif
-
-      if (!bottom_up) {
-        RunTopDown(n, split, depth, levels, stats);
-      } else {
-        RunBottomUp(n, split, depth, levels, active, stats);
-      }
-
-      uint64_t discovered_vertices = 0;
-      uint64_t discovered_visits = 0;
-      scout_edges = 0;
-      for (const WorkerReduction& r : reduction_) {
-        discovered_vertices += r.discovered_vertices;
-        discovered_visits += r.discovered_visits;
-        scout_edges += r.scout_edges;
-      }
-      if (stats != nullptr) {
-        stats->FinishIteration(
-            bottom_up ? Direction::kBottomUp : Direction::kTopDown,
-            iteration_timer.ElapsedMillis(), discovered_vertices);
-      }
-#ifdef PBFS_TRACING
-      if (tracing && stats != nullptr) {
-        // frontier_vertices still holds the size entering this level; it
-        // is rolled forward below.
-        obs::EmitBfsLevel("ms-pbfs.level", level_probe, depth,
-                          bottom_up ? Direction::kBottomUp
-                                    : Direction::kTopDown,
-                          frontier_vertices, stats->iterations().back());
-      }
-#endif
-
-      result.total_visits += discovered_visits;
-      if (discovered_vertices > 0) {
-        ++result.iterations;
-        if (bottom_up) ++result.bottom_up_iterations;
-      }
-      frontier_vertices = discovered_vertices;
-    }
+    MsBfsResult result{.total_visits = static_cast<uint64_t>(k)};
+    driver.Run(frontier_vertices, scout_edges, &result,
+               [&](Direction direction, Level depth) {
+                 if (direction == Direction::kTopDown) {
+                   RunTopDown(driver, n, split, depth, levels);
+                 } else {
+                   RunBottomUp(driver, n, split, depth, levels, active);
+                 }
+               });
     return result;
   }
 
  private:
   static constexpr uint32_t kDesiredSplitSize = 1024;
 
-  void RunTopDown(Vertex n, uint32_t split, Level depth, Level* levels,
-                  TraversalStats* stats) {
+  void RunTopDown(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
+                  Level* levels) {
     // Phase 1: aggregate reachability. `frontier` and the graph are
     // read-only except for the owner's in-loop clear of frontier[v]
     // (only the task owner ever reads frontier[v] in top-down, so the
     // clear needs no synchronization and saves the separate clearing
     // pass). Writes to next[nb] race across workers -> atomic OR.
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       for (uint64_t v = b; v < e; ++v) {
         if (frontier_[v].None()) continue;
         const Bitset<kBits> f = frontier_[v];
         for (Vertex nb : graph_.Neighbors(v)) {
           next_[nb].AtomicOr(f);
-          ++neighbors_visited;
+          ++local.neighbors_visited;
         }
         frontier_[v].Clear();
       }
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, 0, NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
 
     // Phase 2: identify newly discovered vertices. Bijective
@@ -218,8 +136,7 @@ class MsPbfs final : public MultiSourceBfsBase {
     // next[v] (stale bits from an earlier iteration are subsets of seen
     // and get stripped / overwritten here).
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
+      LevelTask local = driver.BeginTask(w);
       for (uint64_t v = b; v < e; ++v) {
         if (next_[v].None()) continue;
         const Bitset<kBits> nf = next_[v] & ~seen_[v];
@@ -227,29 +144,21 @@ class MsPbfs final : public MultiSourceBfsBase {
         if (nf.None()) continue;
         seen_[v] |= nf;
         Visit(static_cast<Vertex>(v), nf, depth, levels);
-        ++local.discovered_vertices;
-        local.discovered_visits += nf.Count();
+        ++local.discovered;
+        local.visits += nf.Count();
         local.scout_edges += graph_.Degree(static_cast<Vertex>(v));
       }
-      WorkerReduction& out = reduction_[w];
-      out.discovered_vertices += local.discovered_vertices;
-      out.discovered_visits += local.discovered_visits;
-      out.scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, 0, local.discovered_vertices, NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
 
     // The frontier buffer was cleared in phase 1; reuse it as next.
     std::swap(frontier_, next_);
   }
 
-  void RunBottomUp(Vertex n, uint32_t split, Level depth, Level* levels,
-                   const Bitset<kBits>& active, TraversalStats* stats) {
+  void RunBottomUp(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
+                   Level* levels, const Bitset<kBits>& active) {
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       for (uint64_t u = b; u < e; ++u) {
         if (seen_[u] == active) {
           // Fully discovered; next[u] may hold stale bits from an older
@@ -281,24 +190,17 @@ class MsPbfs final : public MultiSourceBfsBase {
         if ((acc & done) != done) {
           for (; j < deg; ++j) acc |= frontier_[neighbors[j]];
         }
-        neighbors_visited += j;
+        local.neighbors_visited += j;
         const Bitset<kBits> nf = acc & ~seen_[u];
         next_[u] = nf;
         if (nf.None()) continue;
         seen_[u] |= nf;
         Visit(static_cast<Vertex>(u), nf, depth, levels);
-        ++local.discovered_vertices;
-        local.discovered_visits += nf.Count();
+        ++local.discovered;
+        local.visits += nf.Count();
         local.scout_edges += graph_.Degree(static_cast<Vertex>(u));
       }
-      WorkerReduction& out = reduction_[w];
-      out.discovered_vertices += local.discovered_vertices;
-      out.discovered_visits += local.discovered_visits;
-      out.scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, local.discovered_vertices,
-                          NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
 
     // Bottom-up reads frontier[*] for arbitrary neighbors, so it cannot
@@ -326,7 +228,6 @@ class MsPbfs final : public MultiSourceBfsBase {
   AlignedBuffer<Bitset<kBits>> seen_;
   AlignedBuffer<Bitset<kBits>> frontier_;
   AlignedBuffer<Bitset<kBits>> next_;
-  std::vector<WorkerReduction> reduction_;
 };
 
 }  // namespace

@@ -15,23 +15,14 @@
 #include <cstring>
 #include <vector>
 
+#include "bfs/level_driver.h"
 #include "bfs/single_source.h"
 #include "util/aligned_buffer.h"
 #include "util/bitset.h"
 #include "util/check.h"
-#include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/bfs_instrument.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-struct alignas(kCacheLineSize) WorkerReduction {
-  uint64_t discovered = 0;
-  uint64_t scout_edges = 0;
-};
 
 class QueuePbfs final : public SingleSourceBfsBase {
  public:
@@ -44,7 +35,6 @@ class QueuePbfs final : public SingleSourceBfsBase {
     next_bits_.Reset(num_words_);
     frontier_.Reset(n > 0 ? n : 1);
     next_.Reset(n > 0 ? n : 1);
-    reduction_.assign(executor->num_workers(), WorkerReduction{});
   }
 
   SmsVariant variant() const override { return SmsVariant::kQueue; }
@@ -59,15 +49,9 @@ class QueuePbfs final : public SingleSourceBfsBase {
                 Level* levels) override {
     const Vertex n = graph_.num_vertices();
     PBFS_CHECK(source < n);
-    TraversalStats* stats = options.stats;
-#ifdef PBFS_TRACING
-    TraversalStats tracing_stats;
-    const bool tracing = obs::Tracer::Get().enabled();
-    if (tracing && stats == nullptr) stats = &tracing_stats;
-    obs::ScopedSpan run_span("queue-pbfs.run");
-    run_span.AddArg("source", source);
-#endif
-    if (stats != nullptr) stats->Reset(executor_->num_workers());
+    LevelDriver driver(graph_, options, executor_->num_workers(),
+                       {"queue-pbfs.run", "queue-pbfs.level"});
+    driver.RunArg("source", source);
 
     std::memset(seen_.data(), 0, seen_.size_bytes());
     std::memset(front_bits_.data(), 0, front_bits_.size_bytes());
@@ -80,79 +64,30 @@ class QueuePbfs final : public SingleSourceBfsBase {
     uint64_t frontier_size = 1;
     bool frontier_is_queue = true;
 
-    BfsResult result;
-    result.vertices_visited = 1;
-    uint64_t edges_to_check = graph_.num_directed_edges();
-    uint64_t scout_edges = graph_.Degree(source);
-    bool bottom_up = false;
-    Level depth = 0;
-
-    while (frontier_size > 0) {
-      PBFS_CHECK(depth < kMaxLevel);
-      if (depth >= options.max_level) break;  // bounded traversal
-      ++depth;
-      if (options.enable_bottom_up) {
-        if (!bottom_up && static_cast<double>(scout_edges) >
-                              static_cast<double>(edges_to_check) /
-                                  options.alpha) {
-          bottom_up = true;
-        } else if (bottom_up &&
-                   static_cast<double>(frontier_size) <
-                       static_cast<double>(n) / options.beta) {
-          bottom_up = false;
-        }
-      }
-      edges_to_check -= std::min(edges_to_check, scout_edges);
-      for (WorkerReduction& r : reduction_) r = WorkerReduction{};
-      Timer iteration_timer;
-#ifdef PBFS_TRACING
-      const obs::BfsLevelProbe level_probe = obs::BeginBfsLevel(
-          tracing, "queue-pbfs.level", depth,
-          bottom_up ? Direction::kBottomUp : Direction::kTopDown);
-      const uint64_t trace_frontier = frontier_size;
-#endif
-
-      if (bottom_up) {
-        if (frontier_is_queue) {
-          QueueToBitmap(frontier_size);
-          frontier_is_queue = false;
-        }
-        frontier_size = BottomUpStep(n, depth, levels, options, stats);
-        std::swap(front_bits_, next_bits_);
-        // next_bits_ now holds the old frontier bitmap; clear for reuse.
-        std::memset(next_bits_.data(), 0, next_bits_.size_bytes());
-      } else {
-        if (!frontier_is_queue) {
-          frontier_size = BitmapToQueue(frontier_size);
-          frontier_is_queue = true;
-        }
-        frontier_size = TopDownStep(frontier_size, depth, levels, options,
-                                    stats);
-        std::swap(frontier_, next_);
-      }
-
-      uint64_t scout = 0;
-      for (const WorkerReduction& r : reduction_) scout += r.scout_edges;
-      scout_edges = scout;
-      if (stats != nullptr) {
-        stats->FinishIteration(
-            bottom_up ? Direction::kBottomUp : Direction::kTopDown,
-            iteration_timer.ElapsedMillis(), frontier_size);
-      }
-#ifdef PBFS_TRACING
-      if (tracing && stats != nullptr) {
-        obs::EmitBfsLevel("queue-pbfs.level", level_probe, depth,
-                          bottom_up ? Direction::kBottomUp
-                                    : Direction::kTopDown,
-                          trace_frontier, stats->iterations().back());
-      }
-#endif
-      result.vertices_visited += frontier_size;
-      if (frontier_size > 0) {
-        ++result.iterations;
-        if (bottom_up) ++result.bottom_up_iterations;
-      }
-    }
+    BfsResult result{.vertices_visited = 1};
+    driver.Run(1, graph_.Degree(source), &result,
+               [&](Direction direction, Level depth) {
+                 if (direction == Direction::kBottomUp) {
+                   if (frontier_is_queue) {
+                     QueueToBitmap(frontier_size);
+                     frontier_is_queue = false;
+                   }
+                   frontier_size =
+                       BottomUpStep(driver, n, depth, levels, options);
+                   std::swap(front_bits_, next_bits_);
+                   // next_bits_ now holds the old frontier bitmap; clear
+                   // for reuse.
+                   std::memset(next_bits_.data(), 0, next_bits_.size_bytes());
+                 } else {
+                   if (!frontier_is_queue) {
+                     frontier_size = BitmapToQueue(frontier_size);
+                     frontier_is_queue = true;
+                   }
+                   frontier_size = TopDownStep(driver, frontier_size, depth,
+                                               levels, options);
+                   std::swap(frontier_, next_);
+                 }
+               });
     return result;
   }
 
@@ -173,17 +108,15 @@ class QueuePbfs final : public SingleSourceBfsBase {
     return (prev & bit) == 0;
   }
 
-  uint64_t TopDownStep(uint64_t frontier_size, Level depth, Level* levels,
-                       const BfsOptions& options, TraversalStats* stats) {
+  uint64_t TopDownStep(LevelDriver& driver, uint64_t frontier_size,
+                       Level depth, Level* levels, const BfsOptions& options) {
     std::atomic<uint64_t> tail{0};
     const uint32_t split =
         std::max<uint32_t>(1, std::min<uint64_t>(options.split_size,
                                                  frontier_size / 4 + 1));
     executor_->ParallelFor(frontier_size, split, [&](int w, uint64_t b,
                                                      uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       std::vector<Vertex> buffer;
       buffer.reserve(1024);
       auto flush = [&] {
@@ -197,7 +130,7 @@ class QueuePbfs final : public SingleSourceBfsBase {
       for (uint64_t i = b; i < e; ++i) {
         Vertex v = frontier_[i];
         for (Vertex nb : graph_.Neighbors(v)) {
-          ++neighbors_visited;
+          ++local.neighbors_visited;
           if (TestSeen(nb)) continue;  // cheap pre-check before the RMW
           if (ClaimSeen(nb)) {
             if (levels != nullptr) levels[nb] = depth;
@@ -209,25 +142,18 @@ class QueuePbfs final : public SingleSourceBfsBase {
         }
       }
       flush();
-      reduction_[w].discovered += local.discovered;
-      reduction_[w].scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, local.discovered,
-                          NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
     return tail.load(std::memory_order_relaxed);
   }
 
-  uint64_t BottomUpStep(Vertex n, Level depth, Level* levels,
-                        const BfsOptions& options, TraversalStats* stats) {
+  uint64_t BottomUpStep(LevelDriver& driver, Vertex n, Level depth,
+                        Level* levels, const BfsOptions& options) {
     std::atomic<uint64_t> awake{0};
     const uint32_t split = std::max<uint32_t>(64, options.split_size) / 64 *
                            64;
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       uint64_t found_total = 0;
       for (uint64_t i = b >> 6; i < (e + 63) >> 6; ++i) {
         uint64_t candidates = ~seen_[i];
@@ -242,7 +168,7 @@ class QueuePbfs final : public SingleSourceBfsBase {
           bits &= bits - 1;
           Vertex u = static_cast<Vertex>(i * 64 + bit);
           for (Vertex nb : graph_.Neighbors(u)) {
-            ++neighbors_visited;
+            ++local.neighbors_visited;
             if ((front_bits_[nb >> 6] >> (nb & 63)) & 1) {
               found |= uint64_t{1} << bit;
               if (levels != nullptr) levels[u] = depth;
@@ -257,12 +183,7 @@ class QueuePbfs final : public SingleSourceBfsBase {
       }
       awake.fetch_add(found_total, std::memory_order_relaxed);
       local.discovered = found_total;
-      reduction_[w].discovered += local.discovered;
-      reduction_[w].scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, local.discovered,
-                          NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
     return awake.load(std::memory_order_relaxed);
   }
@@ -299,7 +220,6 @@ class QueuePbfs final : public SingleSourceBfsBase {
   AlignedBuffer<uint64_t> next_bits_;
   AlignedBuffer<Vertex> frontier_;
   AlignedBuffer<Vertex> next_;
-  std::vector<WorkerReduction> reduction_;
 };
 
 }  // namespace

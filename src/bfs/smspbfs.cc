@@ -14,71 +14,16 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <vector>
 
+#include "bfs/level_driver.h"
 #include "bfs/single_source.h"
 #include "sched/numa_layout.h"
 #include "util/aligned_buffer.h"
 #include "util/bitset.h"
 #include "util/check.h"
-#include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/bfs_instrument.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-struct alignas(kCacheLineSize) WorkerReduction {
-  uint64_t discovered = 0;
-  uint64_t scout_edges = 0;
-};
-
-// Direction-switching bookkeeping shared by both variants.
-class DirectionHeuristic {
- public:
-  DirectionHeuristic(const Graph& graph, Vertex source,
-                     const BfsOptions& options)
-      : options_(options),
-        num_vertices_(graph.num_vertices()),
-        edges_to_check_(graph.num_directed_edges()),
-        scout_edges_(graph.Degree(source)),
-        frontier_vertices_(1) {}
-
-  // Decides the direction of the upcoming iteration and consumes the
-  // current scout count from the edge budget.
-  Direction Step() {
-    if (options_.enable_bottom_up) {
-      if (!bottom_up_ && static_cast<double>(scout_edges_) >
-                             static_cast<double>(edges_to_check_) /
-                                 options_.alpha) {
-        bottom_up_ = true;
-      } else if (bottom_up_ &&
-                 static_cast<double>(frontier_vertices_) <
-                     static_cast<double>(num_vertices_) / options_.beta) {
-        bottom_up_ = false;
-      }
-    }
-    edges_to_check_ -= std::min(edges_to_check_, scout_edges_);
-    return bottom_up_ ? Direction::kBottomUp : Direction::kTopDown;
-  }
-
-  void Update(uint64_t discovered, uint64_t scout_edges) {
-    frontier_vertices_ = discovered;
-    scout_edges_ = scout_edges;
-  }
-
-  bool done() const { return frontier_vertices_ == 0; }
-
- private:
-  const BfsOptions& options_;
-  Vertex num_vertices_;
-  uint64_t edges_to_check_;
-  uint64_t scout_edges_;
-  uint64_t frontier_vertices_;
-  bool bottom_up_ = false;
-};
 
 // ---------------------------------------------------------------------
 // Byte variant.
@@ -92,7 +37,6 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
     seen_.Reset(n);
     frontier_.Reset(n);
     next_.Reset(n);
-    reduction_.assign(executor->num_workers(), WorkerReduction{});
     split_size_ = PageAlignedSplitSize(1024, 1);
     ClearState(split_size_);
   }
@@ -108,19 +52,9 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
     const Vertex n = graph_.num_vertices();
     PBFS_CHECK(source < n);
     const uint32_t split = PageAlignedSplitSize(options.split_size, 1);
-    TraversalStats* stats = options.stats;
-#ifdef PBFS_TRACING
-    // With an active trace session the per-level spans need the
-    // per-iteration counters, so substitute a kernel-local TraversalStats
-    // when the caller did not ask for one.
-    TraversalStats tracing_stats;
-    const bool tracing = obs::Tracer::Get().enabled();
-    if (tracing && stats == nullptr) stats = &tracing_stats;
-    obs::ScopedSpan run_span("sms-pbfs-byte.run");
-    run_span.AddArg("source", source);
-    uint64_t trace_frontier = 1;
-#endif
-    if (stats != nullptr) stats->Reset(executor_->num_workers());
+    LevelDriver driver(graph_, options, executor_->num_workers(),
+                       {"sms-pbfs-byte.run", "sms-pbfs-byte.level"});
+    driver.RunArg("source", source);
 
     ClearState(split);
     if (levels != nullptr) std::fill(levels, levels + n, kLevelUnreached);
@@ -128,62 +62,20 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
     frontier_[source] = 1;
     if (levels != nullptr) levels[source] = 0;
 
-    BfsResult result;
-    result.vertices_visited = 1;
-    DirectionHeuristic heuristic(graph_, source, options);
-    Level depth = 0;
-
-    while (!heuristic.done()) {
-      PBFS_CHECK(depth < kMaxLevel);
-      if (depth >= options.max_level) break;  // bounded traversal
-      ++depth;
-      Direction direction = heuristic.Step();
-      for (WorkerReduction& r : reduction_) r = WorkerReduction{};
-      Timer iteration_timer;
-#ifdef PBFS_TRACING
-      const obs::BfsLevelProbe level_probe =
-          obs::BeginBfsLevel(tracing, kTraceLevelName, depth, direction);
-#endif
-
-      if (direction == Direction::kTopDown) {
-        TopDown(n, split, depth, levels, stats);
-      } else {
-        BottomUp(n, split, depth, levels, stats);
-      }
-      std::swap(frontier_, next_);
-
-      uint64_t discovered = 0;
-      uint64_t scout = 0;
-      for (const WorkerReduction& r : reduction_) {
-        discovered += r.discovered;
-        scout += r.scout_edges;
-      }
-      if (stats != nullptr) {
-        stats->FinishIteration(direction, iteration_timer.ElapsedMillis(),
-                               discovered);
-      }
-#ifdef PBFS_TRACING
-      if (tracing && stats != nullptr) {
-        obs::EmitBfsLevel(kTraceLevelName, level_probe, depth, direction,
-                          trace_frontier, stats->iterations().back());
-      }
-      trace_frontier = discovered;
-#endif
-      result.vertices_visited += discovered;
-      if (discovered > 0) {
-        ++result.iterations;
-        if (direction == Direction::kBottomUp) ++result.bottom_up_iterations;
-      }
-      heuristic.Update(discovered, scout);
-    }
+    BfsResult result{.vertices_visited = 1};
+    driver.Run(1, graph_.Degree(source), &result,
+               [&](Direction direction, Level depth) {
+                 if (direction == Direction::kTopDown) {
+                   TopDown(driver, n, split, depth, levels);
+                 } else {
+                   BottomUp(driver, n, split, depth, levels);
+                 }
+                 std::swap(frontier_, next_);
+               });
     return result;
   }
 
  private:
-#ifdef PBFS_TRACING
-  static constexpr const char* kTraceLevelName = "sms-pbfs-byte.level";
-#endif
-
   void ClearState(uint32_t split) {
     executor_->FirstTouchFor(
         graph_.num_vertices(), split, [this](int, uint64_t b, uint64_t e) {
@@ -212,34 +104,30 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
     }
   }
 
-  void TopDown(Vertex n, uint32_t split, Level depth, Level* levels,
-               TraversalStats* stats) {
+  void TopDown(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
+               Level* levels) {
     // Listing 3, first loop. The only cross-worker writes are the
     // benign stores of `1` into next[nb]; a plain atomic store replaces
     // MS-PBFS's CAS loop.
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       ForEachActiveByte(frontier_.data(), b, e, [&](uint64_t v) {
         for (Vertex nb : graph_.Neighbors(static_cast<Vertex>(v))) {
           std::atomic_ref<uint8_t> cell(next_[nb]);
           if (cell.load(std::memory_order_relaxed) == 0) {
             cell.store(1, std::memory_order_relaxed);
           }
-          ++neighbors_visited;
+          ++local.neighbors_visited;
         }
         frontier_[v] = 0;
       });
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, 0, NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
 
     // Listing 3, second loop: next[v] <- !seen[v]; newly seen vertices
     // are the discoveries. Bijective mapping, no synchronization.
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
+      LevelTask local = driver.BeginTask(w);
       ForEachActiveByte(next_.data(), b, e, [&](uint64_t v) {
         if (seen_[v] != 0) {
           next_[v] = 0;  // rediscovery or stale entry
@@ -250,30 +138,24 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
         ++local.discovered;
         local.scout_edges += graph_.Degree(static_cast<Vertex>(v));
       });
-      reduction_[w].discovered += local.discovered;
-      reduction_[w].scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, 0, local.discovered, NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
   }
 
-  void BottomUp(Vertex n, uint32_t split, Level depth, Level* levels,
-                TraversalStats* stats) {
+  void BottomUp(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
+                Level* levels) {
     // Listing 4. Vertices are examined 8 at a time through the seen
     // array: a chunk where every byte is nonzero can be skipped after
     // clearing any stale next entries.
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       for (uint64_t v = b; v < e; ++v) {
         if (seen_[v] != 0) {
           if (next_[v] != 0) next_[v] = 0;  // stale old-frontier entry
           continue;
         }
         for (Vertex nb : graph_.Neighbors(static_cast<Vertex>(v))) {
-          ++neighbors_visited;
+          ++local.neighbors_visited;
           if (frontier_[nb] != 0) {
             next_[v] = 1;
             break;
@@ -286,12 +168,7 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
           local.scout_edges += graph_.Degree(static_cast<Vertex>(v));
         }
       }
-      reduction_[w].discovered += local.discovered;
-      reduction_[w].scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, local.discovered,
-                          NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
   }
 
@@ -301,7 +178,6 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
   AlignedBuffer<uint8_t> seen_;
   AlignedBuffer<uint8_t> frontier_;
   AlignedBuffer<uint8_t> next_;
-  std::vector<WorkerReduction> reduction_;
 };
 
 // ---------------------------------------------------------------------
@@ -317,7 +193,6 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
     seen_.Reset(num_words_);
     frontier_.Reset(num_words_);
     next_.Reset(num_words_);
-    reduction_.assign(executor->num_workers(), WorkerReduction{});
     ClearState();
   }
 
@@ -334,16 +209,9 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
     // Tasks must not straddle 64-bit words of the state arrays.
     const uint32_t split = (std::max<uint32_t>(options.split_size, 64) + 63) /
                            64 * 64;
-    TraversalStats* stats = options.stats;
-#ifdef PBFS_TRACING
-    TraversalStats tracing_stats;
-    const bool tracing = obs::Tracer::Get().enabled();
-    if (tracing && stats == nullptr) stats = &tracing_stats;
-    obs::ScopedSpan run_span("sms-pbfs-bit.run");
-    run_span.AddArg("source", source);
-    uint64_t trace_frontier = 1;
-#endif
-    if (stats != nullptr) stats->Reset(executor_->num_workers());
+    LevelDriver driver(graph_, options, executor_->num_workers(),
+                       {"sms-pbfs-bit.run", "sms-pbfs-bit.level"});
+    driver.RunArg("source", source);
 
     ClearState();
     if (levels != nullptr) std::fill(levels, levels + n, kLevelUnreached);
@@ -351,62 +219,20 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
     SetBit(frontier_.data(), source);
     if (levels != nullptr) levels[source] = 0;
 
-    BfsResult result;
-    result.vertices_visited = 1;
-    DirectionHeuristic heuristic(graph_, source, options);
-    Level depth = 0;
-
-    while (!heuristic.done()) {
-      PBFS_CHECK(depth < kMaxLevel);
-      if (depth >= options.max_level) break;  // bounded traversal
-      ++depth;
-      Direction direction = heuristic.Step();
-      for (WorkerReduction& r : reduction_) r = WorkerReduction{};
-      Timer iteration_timer;
-#ifdef PBFS_TRACING
-      const obs::BfsLevelProbe level_probe =
-          obs::BeginBfsLevel(tracing, kTraceLevelName, depth, direction);
-#endif
-
-      if (direction == Direction::kTopDown) {
-        TopDown(n, split, depth, levels, stats);
-      } else {
-        BottomUp(n, split, depth, levels, stats);
-      }
-      std::swap(frontier_, next_);
-
-      uint64_t discovered = 0;
-      uint64_t scout = 0;
-      for (const WorkerReduction& r : reduction_) {
-        discovered += r.discovered;
-        scout += r.scout_edges;
-      }
-      if (stats != nullptr) {
-        stats->FinishIteration(direction, iteration_timer.ElapsedMillis(),
-                               discovered);
-      }
-#ifdef PBFS_TRACING
-      if (tracing && stats != nullptr) {
-        obs::EmitBfsLevel(kTraceLevelName, level_probe, depth, direction,
-                          trace_frontier, stats->iterations().back());
-      }
-      trace_frontier = discovered;
-#endif
-      result.vertices_visited += discovered;
-      if (discovered > 0) {
-        ++result.iterations;
-        if (direction == Direction::kBottomUp) ++result.bottom_up_iterations;
-      }
-      heuristic.Update(discovered, scout);
-    }
+    BfsResult result{.vertices_visited = 1};
+    driver.Run(1, graph_.Degree(source), &result,
+               [&](Direction direction, Level depth) {
+                 if (direction == Direction::kTopDown) {
+                   TopDown(driver, n, split, depth, levels);
+                 } else {
+                   BottomUp(driver, n, split, depth, levels);
+                 }
+                 std::swap(frontier_, next_);
+               });
     return result;
   }
 
  private:
-#ifdef PBFS_TRACING
-  static constexpr const char* kTraceLevelName = "sms-pbfs-bit.level";
-#endif
-
   static bool TestBit(const uint64_t* words, Vertex v) {
     return (words[v >> 6] >> (v & 63)) & 1;
   }
@@ -431,13 +257,12 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
     return valid <= 0 ? 0 : (uint64_t{1} << valid) - 1;
   }
 
-  void TopDown(Vertex n, uint32_t split, Level depth, Level* levels,
-               TraversalStats* stats) {
+  void TopDown(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
+               Level* levels) {
     // First loop over frontier words; zero words are skipped (the
     // chunk-skipping optimization: one check covers 64 vertices).
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       uint64_t word_begin = b >> 6;
       uint64_t word_end = (e + 63) >> 6;
       for (uint64_t i = word_begin; i < word_end; ++i) {
@@ -450,20 +275,17 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
           Vertex v = static_cast<Vertex>(i * 64 + bit);
           for (Vertex nb : graph_.Neighbors(v)) {
             AtomicFetchOrIfChanged(&next_[nb >> 6], uint64_t{1} << (nb & 63));
-            ++neighbors_visited;
+            ++local.neighbors_visited;
           }
         }
       }
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, 0, NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
 
     // Second loop: word-wise discovery. nf = next & ~seen, then
     // normalize next to nf (strips rediscoveries and stale entries).
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
+      LevelTask local = driver.BeginTask(w);
       uint64_t word_begin = b >> 6;
       uint64_t word_end = (e + 63) >> 6;
       for (uint64_t i = word_begin; i < word_end; ++i) {
@@ -483,20 +305,14 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
           local.scout_edges += graph_.Degree(v);
         }
       }
-      reduction_[w].discovered += local.discovered;
-      reduction_[w].scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, 0, local.discovered, NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
   }
 
-  void BottomUp(Vertex n, uint32_t split, Level depth, Level* levels,
-                TraversalStats* stats) {
+  void BottomUp(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
+                Level* levels) {
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
-      int64_t t0 = stats != nullptr ? NowNanos() : 0;
-      WorkerReduction local;
-      uint64_t neighbors_visited = 0;
+      LevelTask local = driver.BeginTask(w);
       uint64_t word_begin = b >> 6;
       uint64_t word_end = (e + 63) >> 6;
       for (uint64_t i = word_begin; i < word_end; ++i) {
@@ -513,7 +329,7 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
           bits &= bits - 1;
           Vertex u = static_cast<Vertex>(i * 64 + bit);
           for (Vertex nb : graph_.Neighbors(u)) {
-            ++neighbors_visited;
+            ++local.neighbors_visited;
             if (TestBit(frontier_.data(), nb)) {
               found |= uint64_t{1} << bit;
               if (levels != nullptr) levels[u] = depth;
@@ -526,12 +342,7 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
         seen_[i] |= found;
         next_[i] = found;  // overwrites any stale old-frontier bits
       }
-      reduction_[w].discovered += local.discovered;
-      reduction_[w].scout_edges += local.scout_edges;
-      if (stats != nullptr) {
-        stats->Accumulate(w, neighbors_visited, local.discovered,
-                          NowNanos() - t0);
-      }
+      driver.EndTask(local);
     });
   }
 
@@ -541,7 +352,6 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
   AlignedBuffer<uint64_t> seen_;
   AlignedBuffer<uint64_t> frontier_;
   AlignedBuffer<uint64_t> next_;
-  std::vector<WorkerReduction> reduction_;
 };
 
 }  // namespace

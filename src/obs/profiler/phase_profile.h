@@ -6,7 +6,7 @@
 //
 // The two inputs arrive on different axes: samples are tagged with the
 // packed phase word at signal time (phase_tag.h), while counter deltas
-// ride on the "<kernel>.level" spans (bfs_instrument.h) keyed by their
+// ride on the "<kernel>.level" spans (bfs/level_driver.h) keyed by their
 // `level` / `bottom_up` args. Both sides key by (variant, level,
 // direction), so the merge is a join on that tuple; phases seen by only
 // one side still get a row (samples with no counters on perf-denied

@@ -3,9 +3,9 @@
 //
 // The profiler's samples fire on worker threads, but the knowledge of
 // which (variant, level, direction) is executing lives on the
-// coordinating thread that runs the level loop: BfsLevelProbe
-// (bfs_instrument.h) sets the tag at the top of each iteration and its
-// destructor clears it. Workers never see the probe, so the tag cannot
+// coordinating thread that runs the level loop: LevelDriver
+// (bfs/level_driver.h) sets the tag at the top of each level and
+// clears it at the end. Workers never see the probe, so the tag cannot
 // be thread-local — it is one process-global word that the
 // async-signal-safe sample handler reads with a single relaxed load.
 //
@@ -54,12 +54,12 @@ const char* PhaseNameByIndex(int index);
 
 // Publishes "a level of `variant_span_name` at `level`, direction
 // `bottom_up`, is running". Two relaxed atomic stores per BFS level;
-// called unconditionally by BfsLevelProbe so the profiler works even
+// called unconditionally by LevelDriver so the profiler works even
 // when no Tracer session is active.
 void SetCurrentBfsPhase(const char* variant_span_name, uint32_t level,
                         bool bottom_up);
 
-// Clears the tag (probe destructor, end of the level).
+// Clears the tag (end of the level).
 void ClearCurrentBfsPhase();
 
 // The packed word, for the sample handler. 0 means inactive.

@@ -2,13 +2,16 @@
 // per-iteration instrumentation, swept over randomized graphs.
 
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "bfs/multi_source.h"
+#include "bfs/registry.h"
 #include "bfs/sequential.h"
 #include "bfs/single_source.h"
 #include "bfs/validate.h"
+#include "differential/diff_util.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "sched/worker_pool.h"
@@ -16,6 +19,24 @@
 
 namespace pbfs {
 namespace {
+
+std::string TestNameOf(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
+// Runs the registry kernel `name` from `source` (a one-source batch for
+// multi-source kernels).
+BfsResult RunKernel(const std::string& name, const Graph& g, Vertex source,
+                    Executor* executor) {
+  diff::KernelUnderTest kernel(name, g, executor);
+  EXPECT_TRUE(kernel.known()) << name;
+  if (!kernel.known()) return {};
+  return kernel.Run(std::span<const Vertex>(&source, 1), BfsOptions{});
+}
 
 class RandomGraphProperty : public ::testing::TestWithParam<uint64_t> {};
 
@@ -77,17 +98,69 @@ TEST_P(RandomGraphProperty, IterationCountMatchesEccentricity) {
   }
 
   SerialExecutor serial;
-  for (SmsVariant variant : {SmsVariant::kBit, SmsVariant::kByte, SmsVariant::kQueue}) {
-    std::unique_ptr<SingleSourceBfsBase> bfs =
-        MakeSmsPbfs(g, variant, &serial);
-    BfsResult r = bfs->Run(source, BfsOptions{}, nullptr);
-    EXPECT_EQ(r.iterations, max_level) << SmsVariantName(variant);
+  for (const std::string& name : diff::NonOracleVariants()) {
+    BfsResult r = RunKernel(name, g, source, &serial);
+    EXPECT_EQ(r.iterations, max_level) << name;
+    EXPECT_LE(r.bottom_up_iterations, r.iterations) << name;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphProperty,
                          ::testing::Range<uint64_t>(0, 8));
 
+// Every kernel shares one level-counting rule: a level counts toward
+// iterations (and bottom_up_iterations) only if it discovered a vertex.
+// The second level of Complete(200) from source 1 runs bottom-up and
+// discovers nothing, so it must not count.
+TEST(IterationAccountingTest, AllKernelsCountTheSameLevels) {
+  WorkerPool pool({.num_workers = 3, .pin_threads = false});
+  struct Case {
+    const char* name;
+    Graph graph;
+    int iterations;
+    int bottom_up_iterations;
+  };
+  Case cases[] = {{"complete", Complete(200), 1, 0},
+                  {"star", Star(1000), 2, 1},
+                  {"erdos_renyi", ErdosRenyi(4096, 40000, 7), -1, -1}};
+  for (Case& c : cases) {
+    BfsResult first = RunKernel("smspbfs_byte", c.graph, 1, &pool);
+    if (c.iterations >= 0) {
+      EXPECT_EQ(first.iterations, c.iterations) << c.name;
+      EXPECT_EQ(first.bottom_up_iterations, c.bottom_up_iterations) << c.name;
+    }
+    for (const std::string& name : diff::NonOracleVariants()) {
+      BfsResult r = RunKernel(name, c.graph, 1, &pool);
+      EXPECT_EQ(r.iterations, first.iterations) << name << " on " << c.name;
+      // JFQ-MS-BFS is top-down only.
+      EXPECT_EQ(r.bottom_up_iterations,
+                name == "jfq_msbfs" ? 0 : first.bottom_up_iterations)
+          << name << " on " << c.name;
+    }
+  }
+}
+
+// Checks that `stats` holds `iterations` levels, each with one slot per
+// worker, that discover `discovered` vertices with one state update each.
+void ExpectStatsCover(const TraversalStats& stats, size_t workers,
+                      size_t iterations, uint64_t discovered) {
+  ASSERT_EQ(stats.iterations().size(), iterations);
+  uint64_t found = 0;
+  uint64_t updates = 0;
+  for (const TraversalStats::Iteration& iter : stats.iterations()) {
+    ASSERT_EQ(iter.neighbors_visited.size(), workers);
+    ASSERT_EQ(iter.states_updated.size(), workers);
+    ASSERT_EQ(iter.busy_ms.size(), workers);
+    EXPECT_GE(iter.runtime_ms, 0.0);
+    for (double ms : iter.busy_ms) EXPECT_GE(ms, 0.0);
+    found += iter.vertices_discovered;
+    for (uint64_t u : iter.states_updated) updates += u;
+  }
+  EXPECT_EQ(found, discovered);
+  EXPECT_EQ(updates, found);
+}
+
+// The stats agree with the BfsResult the kernel itself returns.
 TEST(InstrumentationTest, StatsCoverEveryIteration) {
   Graph g = Kronecker({.scale = 10, .edge_factor = 8, .seed = 111});
   WorkerPool pool({.num_workers = 3, .pin_threads = false});
@@ -100,23 +173,49 @@ TEST(InstrumentationTest, StatsCoverEveryIteration) {
   Vertex source = PickSources(g, 1, 1)[0];
   BfsResult r = bfs->Run(source, options, nullptr);
 
-  // The final, empty iteration is also recorded.
-  ASSERT_EQ(stats.iterations().size(),
-            static_cast<size_t>(r.iterations) + 1);
-  uint64_t discovered = 0;
-  uint64_t updates = 0;
-  for (const TraversalStats::Iteration& iter : stats.iterations()) {
-    ASSERT_EQ(iter.neighbors_visited.size(), 3u);
-    ASSERT_EQ(iter.states_updated.size(), 3u);
-    ASSERT_EQ(iter.busy_ms.size(), 3u);
-    EXPECT_GE(iter.runtime_ms, 0.0);
-    for (double ms : iter.busy_ms) EXPECT_GE(ms, 0.0);
-    discovered += iter.vertices_discovered;
-    for (uint64_t u : iter.states_updated) updates += u;
-  }
-  EXPECT_EQ(discovered, r.vertices_visited - 1);  // source not counted
-  EXPECT_EQ(updates, discovered);
+  // The final, empty iteration is also recorded; the source is not
+  // counted as discovered.
+  ExpectStatsCover(stats, 3, static_cast<size_t>(r.iterations) + 1,
+                   r.vertices_visited - 1);
 }
+
+// Every kernel fills the stats, checked against the oracle.
+class KernelStatsTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KernelStatsTest, StatsCoverEveryIteration) {
+  Graph g = Kronecker({.scale = 10, .edge_factor = 8, .seed = 111});
+  WorkerPool pool({.num_workers = 3, .pin_threads = false});
+  std::unique_ptr<BfsVariantRunner> runner =
+      FindVariantRunner(GetParam(), g, &pool);
+  ASSERT_NE(runner, nullptr);
+  const size_t workers = runner->desc().parallel ? 3 : 1;
+
+  // Leftovers from an earlier traversal must not survive the run.
+  TraversalStats stats;
+  stats.Reset(7);
+  stats.FinishIteration(Direction::kBottomUp, 1.0, 12345);
+  BfsOptions options;
+  options.stats = &stats;
+  Vertex source = PickSources(g, 1, 1)[0];
+  std::vector<Level> levels(g.num_vertices());
+  runner->ComputeLevels(std::span<const Vertex>(&source, 1), options,
+                        levels.data());
+
+  std::vector<Level> ref = testing_util::ReferenceLevels(g, source);
+  Level eccentricity = 0;
+  uint64_t reached = 0;
+  for (Level l : ref) {
+    if (l == kLevelUnreached) continue;
+    eccentricity = std::max(eccentricity, l);
+    ++reached;
+  }
+  ExpectStatsCover(stats, workers, static_cast<size_t>(eccentricity) + 1,
+                   reached - 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, KernelStatsTest,
+                         ::testing::ValuesIn(diff::NonOracleVariants()),
+                         TestNameOf);
 
 TEST(InstrumentationTest, TopDownNeighborCountsMatchFrontierDegrees) {
   // Pure top-down: the neighbors visited in iteration d equal the degree

@@ -12,12 +12,18 @@
 #define PBFS_TESTS_DIFFERENTIAL_DIFF_UTIL_H_
 
 #include <cstdlib>
+#include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bfs/beamer.h"
+#include "bfs/multi_source.h"
 #include "bfs/registry.h"
 #include "bfs/sequential.h"
+#include "bfs/single_source.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -195,6 +201,67 @@ inline std::string DiffAgainstOracle(const std::vector<Level>& oracle,
   }
   return {};
 }
+
+// Registry names of every kernel except the sequential oracle.
+inline std::vector<std::string> NonOracleVariants() {
+  std::vector<std::string> names = AllVariantNames();
+  names.erase(names.begin());  // "sequential"
+  return names;
+}
+
+// One registry kernel called directly rather than through
+// BfsVariantRunner, so its result fields are visible. `name` is one of
+// AllVariantNames() except the oracle; the kernel instance is reused
+// across Run calls.
+class KernelUnderTest {
+ public:
+  KernelUnderTest(const std::string& name, const Graph& graph,
+                  Executor* executor, int width = 64)
+      : graph_(graph) {
+    for (BeamerVariant variant : {BeamerVariant::kSparse,
+                                  BeamerVariant::kDense,
+                                  BeamerVariant::kGapbs}) {
+      if (name == BeamerVariantName(variant)) beamer_ = variant;
+    }
+    if (name == "queue_pbfs") single_ = MakeQueuePbfs(graph, executor);
+    if (name == "smspbfs_bit") {
+      single_ = MakeSmsPbfs(graph, SmsVariant::kBit, executor);
+    }
+    if (name == "smspbfs_byte") {
+      single_ = MakeSmsPbfs(graph, SmsVariant::kByte, executor);
+    }
+    if (name == "msbfs") multi_ = MakeMsBfs(graph, width);
+    if (name == "jfq_msbfs") multi_ = MakeJfqMsBfs(graph, width);
+    if (name == "mspbfs") multi_ = MakeMsPbfs(graph, width, executor);
+  }
+
+  bool known() const {
+    return beamer_.has_value() || single_ != nullptr || multi_ != nullptr;
+  }
+  bool multi_source() const { return multi_ != nullptr; }
+
+  // Runs `sources` as one batch (multi-source kernels) or the single
+  // source sources[0]. A multi-source result reports total_visits as
+  // vertices_visited.
+  BfsResult Run(std::span<const Vertex> sources, const BfsOptions& options) {
+    if (multi_ != nullptr) {
+      MsBfsResult r = multi_->Run(sources, options, nullptr);
+      return {.vertices_visited = r.total_visits,
+              .iterations = r.iterations,
+              .bottom_up_iterations = r.bottom_up_iterations};
+    }
+    if (beamer_.has_value()) {
+      return BeamerBfs(graph_, sources[0], *beamer_, options, nullptr);
+    }
+    return single_->Run(sources[0], options, nullptr);
+  }
+
+ private:
+  const Graph& graph_;
+  std::optional<BeamerVariant> beamer_;
+  std::unique_ptr<SingleSourceBfsBase> single_;
+  std::unique_ptr<MultiSourceBfsBase> multi_;
+};
 
 }  // namespace diff
 }  // namespace pbfs
