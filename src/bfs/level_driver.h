@@ -43,14 +43,11 @@
 
 #include "bfs/common.h"
 #include "graph/graph.h"
-#include "util/check.h"
-#include "util/timer.h"
-
-#ifdef PBFS_TRACING
 #include "obs/perf_counters.h"
 #include "obs/profiler/phase_tag.h"
 #include "obs/trace.h"
-#endif
+#include "util/check.h"
+#include "util/timer.h"
 
 namespace pbfs {
 
@@ -70,7 +67,6 @@ struct LevelTask {
   int64_t start_ns = 0;
 };
 
-#ifdef PBFS_TRACING
 // Per-level trace emission: the phase tag every level publishes for
 // the sampling profiler (two relaxed stores, with or without a trace
 // session), and, while a session is active, one "<kernel>.level" span
@@ -135,17 +131,6 @@ class LevelTrace {
   int64_t start_ns_ = 0;
   obs::PerfSample perf_begin_;
 };
-#else
-// Tracing compiled out: no obs symbols are referenced.
-class LevelTrace {
- public:
-  explicit LevelTrace(LevelSpanNames) {}
-  bool tracing() const { return false; }
-  void RunArg(const char*, uint64_t) {}
-  void BeginLevel(Level, Direction) {}
-  void EndLevel(Level, Direction, uint64_t, const TraversalStats*) {}
-};
-#endif  // PBFS_TRACING
 
 class LevelDriver {
  public:

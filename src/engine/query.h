@@ -61,8 +61,7 @@ struct Query {
   // the server stamps the wire frame's id (or mints one) before
   // Submit, and the engine mints one for in-process callers. Carried
   // into QueryResult so callers can correlate answers with retained
-  // span trees. Plumbed even without PBFS_TRACING (it is two PODs) so
-  // the wire protocol does not fork on the build flag.
+  // span trees.
   uint64_t trace_id = 0;
   // True forces span-tree retention regardless of latency.
   bool trace_sampled = false;

@@ -7,18 +7,14 @@
 
 #include "algorithms/khop.h"
 #include "bfs/multi_source.h"
-#include "sched/worker_pool.h"
-#include "util/check.h"
-#include "util/timer.h"
-
-#ifdef PBFS_TRACING
 #include "obs/live/metrics_registry.h"
 #include "obs/profiler/sampling_profiler.h"
 #include "obs/query_trace.h"
 #include "obs/trace.h"
-#endif
+#include "sched/worker_pool.h"
+#include "util/check.h"
+#include "util/timer.h"
 
-#ifdef PBFS_TRACING
 namespace {
 
 // Terminal instant for one query. Exactly one is emitted per admitted
@@ -60,7 +56,6 @@ void FinishQueryTrace(uint64_t trace_id, pbfs::QueryStatus status,
 }
 
 }  // namespace
-#endif
 
 namespace pbfs {
 
@@ -162,11 +157,9 @@ QueryEngine::QueryEngine(const Graph& graph, Executor* executor,
 }
 
 QueryEngine::~QueryEngine() {
-#ifdef PBFS_TRACING
   // Withdraw the scrape collector before any member it reads goes away;
   // a scrape racing the destructor sees the registry without us.
   if (live_registry_ != nullptr) live_registry_->RemoveCollectors(this);
-#endif
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -194,22 +187,18 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
   std::lock_guard<std::mutex> lock(mutex_);
   submission.id = next_id_++;
   ++stats_.queries_admitted;
-#ifdef PBFS_TRACING
   if (obs::Tracer::Get().enabled()) {
     obs::TraceEvent event = obs::MakeInstant("query.submit", NowNanos());
     event.AddArg("query", submission.id);
     event.AddArg("type", static_cast<uint64_t>(query.type));
     obs::Tracer::Get().Record(event);
   }
-#endif
   if (stopping_) {
     QueryResult result;
     result.status = QueryStatus::kCancelled;
     ++stats_.queries_cancelled;
     promise.set_value(std::move(result));
-#ifdef PBFS_TRACING
     TraceQueryDone(submission.id, QueryStatus::kCancelled);
-#endif
     return submission;
   }
   // Pinning under mutex_ (lock order: engine mutex_ -> snapshot mu_)
@@ -217,7 +206,6 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
   // same-version batching never splits more than one version boundary.
   SnapshotManager::Ref snapshot = snapshots_.Pin();
   const int64_t submit_ns = NowNanos();
-#ifdef PBFS_TRACING
   {
     // In-process submitters reach the engine without a trace context;
     // mint one and open an engine-owned entry. Wire queries arrive with
@@ -234,7 +222,6 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
     trace_store.Stamp(query.trace_id, obs::QueryStageBound::kSubmitted,
                       submit_ns);
   }
-#endif
   Level bound_hint = kMaxLevel;
   if (query.type == QueryType::kPointToPointDistance &&
       rebuilder_ != nullptr && IsValid(query) &&
@@ -292,7 +279,6 @@ bool QueryEngine::TryAnswerFromSketchLocked(
   const int64_t done_ns = NowNanos();
   const double latency_ms = static_cast<double>(done_ns - submit_ns) / 1e6;
   stats_.latency_ms.Add(latency_ms);
-#ifdef PBFS_TRACING
   latency_windows_[static_cast<int>(query.type)].Add(latency_ms, done_ns);
   {
     // Inline answer: the sketch stood in for dispatch + kernel, so the
@@ -304,12 +290,9 @@ bool QueryEngine::TryAnswerFromSketchLocked(
                       done_ns);
     trace_store.AnnotateSnapshot(query.trace_id, result.snapshot_version);
   }
-#endif
   promise.set_value(std::move(result));
-#ifdef PBFS_TRACING
   TraceQueryDone(id, QueryStatus::kOk);
   FinishQueryTrace(query.trace_id, QueryStatus::kOk, done_ns);
-#endif
   return true;
 }
 
@@ -362,10 +345,8 @@ void QueryEngine::EnsureCompactorStarted() {
 }
 
 uint64_t QueryEngine::ApplyUpdates(std::span<const EdgeUpdate> updates) {
-#ifdef PBFS_TRACING
   obs::ScopedSpan span("engine.apply_updates");
   span.AddArg("ops", static_cast<uint64_t>(updates.size()));
-#endif
   EnsureCompactorStarted();
   const uint64_t version = snapshots_.ApplyBatch(updates);
   {
@@ -380,9 +361,7 @@ uint64_t QueryEngine::ApplyUpdates(std::span<const EdgeUpdate> updates) {
   // The published sketch is now stale; p2p queries admitted before the
   // rebuild finishes fall back to exact traversals.
   if (rebuilder_ != nullptr) rebuilder_->Notify();
-#ifdef PBFS_TRACING
   span.AddArg("version", version);
-#endif
   return version;
 }
 
@@ -432,10 +411,8 @@ void QueryEngine::CompleteLocked(PendingQuery& pending, QueryStatus status) {
   }
   result.trace_id = pending.query.trace_id;
   pending.promise.set_value(std::move(result));
-#ifdef PBFS_TRACING
   TraceQueryDone(pending.id, status);
   FinishQueryTrace(pending.query.trace_id, status, NowNanos());
-#endif
   PBFS_CHECK(outstanding_ > 0);
   --outstanding_;
   done_cv_.notify_all();
@@ -455,10 +432,8 @@ bool QueryEngine::IsValid(const Query& query) const {
 }
 
 void QueryEngine::DispatcherMain() {
-#ifdef PBFS_TRACING
   obs::Tracer::SetThreadLabel("engine-dispatcher", -1);
   obs::SamplingProfiler::RegisterCurrentThread();
-#endif
   const int64_t linger_ns =
       static_cast<int64_t>(options_.coalesce_wait_ms * 1e6);
   std::unique_lock<std::mutex> lock(mutex_);
@@ -480,21 +455,17 @@ void QueryEngine::DispatcherMain() {
     }
     std::vector<PendingQuery> batch = TakeBatchLocked();
     if (batch.empty()) continue;
-#ifdef PBFS_TRACING
     // Popped off pending_ but not yet completed: record the batch so
     // InFlightQueries() (the watchdog's admission feed) still sees it.
     executing_.clear();
     for (const PendingQuery& q : batch) {
       executing_.push_back(InFlightQuery{q.id, q.submit_ns, q.query.type});
     }
-#endif
     lock.unlock();
     const int width = ExecuteBatch(batch);
     const int64_t batch_done_ns = NowNanos();
     lock.lock();
-#ifdef PBFS_TRACING
     executing_.clear();
-#endif
     if (batch.size() == 1) {
       ++stats_.single_runs;
     } else {
@@ -502,19 +473,15 @@ void QueryEngine::DispatcherMain() {
       const double occupancy = static_cast<double>(batch.size()) /
                                static_cast<double>(width);
       stats_.batch_occupancy.Add(occupancy);
-#ifdef PBFS_TRACING
       occupancy_window_.Add(occupancy, batch_done_ns);
-#endif
     }
     stats_.queries_completed += batch.size();
     for (const PendingQuery& q : batch) {
       const double latency_ms =
           static_cast<double>(batch_done_ns - q.submit_ns) / 1e6;
       stats_.latency_ms.Add(latency_ms);
-#ifdef PBFS_TRACING
       latency_windows_[static_cast<int>(q.query.type)].Add(latency_ms,
                                                            batch_done_ns);
-#endif
     }
     PBFS_CHECK(outstanding_ >= batch.size());
     outstanding_ -= batch.size();
@@ -602,18 +569,14 @@ BfsVariantRunner* QueryEngine::RunnerForWidth(int width) {
 int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   const Vertex n = num_vertices_;
   const size_t count = batch.size();
-#ifdef PBFS_TRACING
   const uint64_t batch_seq = ++batch_seq_;
   const int64_t dispatch_ns = NowNanos();
   obs::ScopedSpan batch_span(count == 1 ? "engine.single" : "engine.batch");
   batch_span.AddArg("queries", count);
   batch_span.AddArg("batch", batch_seq);
-#endif
   BindRunners(batch.front().snapshot);
   const uint64_t content_version = batch.front().snapshot->content_version();
-#ifdef PBFS_TRACING
   batch_span.AddArg("snapshot", content_version);
-#endif
   std::vector<Vertex> sources(count);
   // Bounded traversal when every query in the batch is radius-bounded:
   // k-hop queries bound by their radius, sketch-fallback p2p queries by
@@ -654,7 +617,6 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   // resize, not assign: every kernel overwrites all count * n entries
   // (unreached vertices get kLevelUnreached), so re-zeroing the reused
   // buffer would only add a full memory pass per batch.
-#ifdef PBFS_TRACING
   batch_span.AddArg("width", static_cast<uint64_t>(width));
   {
     // Every rider crossed the dispatch boundary together; the batch
@@ -668,30 +630,23 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
                                 static_cast<uint32_t>(width), batch_seq);
     }
   }
-#endif
   levels_.resize(count * static_cast<size_t>(n));
   runner->ComputeLevels(sources, options, levels_.data());
-#ifdef PBFS_TRACING
   const int64_t kernel_done_ns = NowNanos();
-#endif
   for (size_t i = 0; i < count; ++i) {
     QueryResult result =
         ExtractResult(batch[i].query, levels_.data() + i * n);
     result.snapshot_version = content_version;
     result.trace_id = batch[i].query.trace_id;
-#ifdef PBFS_TRACING
     {
       obs::QueryTraceStore& trace_store = obs::QueryTraceStore::Get();
       trace_store.Stamp(batch[i].query.trace_id,
                         obs::QueryStageBound::kKernelDone, kernel_done_ns);
       trace_store.AnnotateSnapshot(batch[i].query.trace_id, content_version);
     }
-#endif
     batch[i].promise.set_value(std::move(result));
-#ifdef PBFS_TRACING
     TraceQueryDone(batch[i].id, QueryStatus::kOk);
     FinishQueryTrace(batch[i].query.trace_id, QueryStatus::kOk, NowNanos());
-#endif
   }
   return width;
 }
@@ -740,8 +695,6 @@ QueryResult QueryEngine::ExtractResult(const Query& query,
   }
   return result;
 }
-
-#ifdef PBFS_TRACING
 
 std::vector<QueryEngine::InFlightQuery> QueryEngine::InFlightQueries() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -964,7 +917,5 @@ void QueryEngine::CollectLiveMetrics(obs::ExpositionWriter& writer) const {
   }
   writer.SummarySamples("pbfs_engine_batch_occupancy", {}, occ);
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace pbfs

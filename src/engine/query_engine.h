@@ -52,22 +52,16 @@
 #include "graph/delta.h"
 #include "graph/graph.h"
 #include "graph/snapshot.h"
+#include "obs/live/rolling_window.h"
 #include "sched/executor.h"
 #include "sketch/rebuilder.h"
 #include "util/stats.h"
-
-#ifdef PBFS_TRACING
-#include "obs/live/rolling_window.h"
 
 namespace pbfs {
 namespace obs {
 class ExpositionWriter;
 class MetricsRegistry;
 }  // namespace obs
-}  // namespace pbfs
-#endif
-
-namespace pbfs {
 
 class WorkerPool;
 
@@ -205,8 +199,7 @@ class QueryEngine {
 
   const QueryEngineOptions& options() const { return options_; }
 
-#ifdef PBFS_TRACING
-  // ---- Live telemetry (tracing builds only) ----
+  // ---- Live telemetry ----
 
   // One admitted-but-not-completed query: still queued or inside the
   // batch currently executing. Fed to the stall watchdog so a query
@@ -227,7 +220,6 @@ class QueryEngine {
   // withdraws the collector in its destructor; `registry` must outlive
   // the engine.
   void ExportLiveMetrics(obs::MetricsRegistry* registry);
-#endif
 
  private:
   struct PendingQuery {
@@ -274,12 +266,10 @@ class QueryEngine {
                                  std::promise<QueryResult>& promise,
                                  Level* bound_hint);
 
-#ifdef PBFS_TRACING
   // Appends the engine's exposition families. Called by the registered
   // collector under the registry lock; takes mutex_ itself, so callers
   // must not already hold it (lock order: registry -> engine).
   void CollectLiveMetrics(obs::ExpositionWriter& writer) const;
-#endif
 
   Executor* executor_;
   const QueryEngineOptions options_;
@@ -312,11 +302,9 @@ class QueryEngine {
   std::vector<std::pair<int, std::unique_ptr<BfsVariantRunner>>>
       batch_runners_;
   std::vector<Level> levels_;
-#ifdef PBFS_TRACING
   // Dispatch sequence number linking per-query kernel stage spans to
   // the engine.batch span they rode (obs/query_trace.h).
   uint64_t batch_seq_ = 0;
-#endif
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  // wakes the dispatcher
@@ -327,7 +315,6 @@ class QueryEngine {
   bool stopping_ = false;
   QueryEngineStats stats_;
 
-#ifdef PBFS_TRACING
   // Queries inside the batch currently executing (the dispatcher has
   // popped them off pending_ but their promises are unresolved).
   // Guarded by mutex_.
@@ -339,7 +326,6 @@ class QueryEngine {
   obs::RollingWindow latency_windows_[kNumQueryTypes];
   obs::RollingWindow occupancy_window_;
   obs::MetricsRegistry* live_registry_ = nullptr;  // set by ExportLiveMetrics
-#endif
 
   std::thread dispatcher_;
 };

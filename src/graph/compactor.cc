@@ -6,12 +6,9 @@
 #include <vector>
 
 #include "graph/parallel_build.h"
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/trace.h"
-#endif
 
 namespace pbfs {
 
@@ -55,9 +52,7 @@ bool Compactor::StopRequested() const {
 }
 
 void Compactor::Main() {
-#ifdef PBFS_TRACING
   obs::Tracer::SetThreadLabel("compactor", -1);
-#endif
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return stop_ || notified_; });
@@ -86,12 +81,10 @@ bool Compactor::RunOnce() {
     SnapshotManager::Ref snap = snapshots_->Pin();
     if (!snap->has_overlay()) return false;
     from_version = snap->version();
-#ifdef PBFS_TRACING
     obs::ScopedSpan span("compactor.compact");
     span.AddArg("version", from_version);
     span.AddArg("patched_vertices",
                 static_cast<uint64_t>(snap->patched_vertices()));
-#endif
     if (options_.debug_delay_ms > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(options_.debug_delay_ms));

@@ -15,9 +15,6 @@
 // lock only guards registration and scrape-time iteration. Collectors
 // run under the registry lock at scrape time and must not call back
 // into the registry.
-//
-// Like the rest of src/obs this is only compiled under PBFS_TRACING;
-// the CI nm check pins that an OFF build links none of these symbols.
 #ifndef PBFS_OBS_LIVE_METRICS_REGISTRY_H_
 #define PBFS_OBS_LIVE_METRICS_REGISTRY_H_
 

@@ -5,13 +5,12 @@
 // Two feeds, both pull-based so the watchdog adds zero cost to the
 // paths it observes:
 //
-//  * Worker heartbeats. WorkerPool (tracing builds) publishes a
-//    relaxed per-worker epoch counter bumped once per task fetch in
-//    the work-stealing loop, plus a busy flag spanning each
-//    ParallelFor job. A worker that is busy but whose epoch has not
-//    moved for worker_stall_ms is stuck inside a task body — the
-//    straggler case the paper's Figure 9 skew analysis shows dominates
-//    BFS level time.
+//  * Worker heartbeats. WorkerPool publishes a relaxed per-worker
+//    epoch counter bumped once per task fetch in the work-stealing
+//    loop, plus a busy flag spanning each ParallelFor job. A worker
+//    that is busy but whose epoch has not moved for worker_stall_ms is
+//    stuck inside a task body — the straggler case the paper's Figure
+//    9 skew analysis shows dominates BFS level time.
 //  * Admission records. The query engine exposes every admitted but
 //    not yet completed query with its submit timestamp. One older than
 //    slow_query_ms is reported before it completes, with enough

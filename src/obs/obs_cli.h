@@ -41,24 +41,17 @@
 // fills in its own timing fields via json(), and in profile mode
 // Finish() appends the counter totals (aggregate and per worker), the
 // derived IPC / LLC miss rate, the counters_unavailable marker, and the
-// NUMA audit object before writing the file. When the library was built
-// with PBFS_TRACING=OFF every flag still parses (so scripts don't
-// break) but warns on stderr and records nothing.
+// NUMA audit object before writing the file.
 #ifndef PBFS_OBS_OBS_CLI_H_
 #define PBFS_OBS_OBS_CLI_H_
 
-#include <cstdio>
-#include <string>
-
-#include "util/bench_json.h"
-#include "util/flags.h"
-
-#ifdef PBFS_TRACING
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,8 +69,9 @@
 #include "obs/query_trace.h"
 #include "obs/trace.h"
 #include "sched/worker_pool.h"
+#include "util/bench_json.h"
+#include "util/flags.h"
 #include "util/timer.h"
-#endif
 
 namespace pbfs {
 
@@ -152,7 +146,6 @@ class ObsCli {
   // was requested and, in profile mode, enables the hardware counters
   // (degrading loudly-but-harmlessly when the host denies them).
   void Start() {
-#ifdef PBFS_TRACING
     if (!active()) return;
     if (profile_) {
       backend_available_ = PerfCounters::Enable();
@@ -253,52 +246,15 @@ class ObsCli {
                      server_.port());
       }
     }
-#else
-    if (!trace_path_.empty()) {
-      std::fprintf(stderr,
-                   "--trace-out=%s ignored: built with PBFS_TRACING=OFF\n",
-                   trace_path_.c_str());
-    }
-    if (!metrics_path_.empty()) {
-      std::fprintf(stderr,
-                   "--metrics-out=%s ignored: built with PBFS_TRACING=OFF\n",
-                   metrics_path_.c_str());
-    }
-    if (profile_) {
-      std::fprintf(stderr,
-                   "--profile ignored: built with PBFS_TRACING=OFF\n");
-    }
-    if (!profile_out_path_.empty()) {
-      std::fprintf(stderr,
-                   "--profile-out=%s ignored: built with PBFS_TRACING=OFF\n",
-                   profile_out_path_.c_str());
-    }
-    if (serve_metrics_port_ >= 0) {
-      std::fprintf(stderr,
-                   "--serve-metrics=%lld ignored: built with "
-                   "PBFS_TRACING=OFF\n",
-                   static_cast<long long>(serve_metrics_port_));
-    }
-    if (watchdog_flag_) {
-      std::fprintf(stderr,
-                   "--watchdog ignored: built with PBFS_TRACING=OFF\n");
-    }
-    if (!slowlog_path_.empty()) {
-      std::fprintf(stderr,
-                   "--slowlog-out=%s ignored: built with PBFS_TRACING=OFF\n",
-                   slowlog_path_.c_str());
-    }
-#endif
   }
 
-  // ---- Live telemetry wiring (no-ops when PBFS_TRACING is OFF or the
-  // live surfaces were not requested) ----
+  // ---- Live telemetry wiring (no-ops when the live surfaces were not
+  // requested) ----
 
   // Feeds `pool`'s worker heartbeats to the stall watchdog and exposes
   // per-worker heartbeat gauges plus the scheduler's task counters.
   // `pool` must outlive telemetry (ObsCli::Finish stops both consumers).
   void WatchPool(WorkerPool* pool) {
-#ifdef PBFS_TRACING
     if (!serving_live() || pool == nullptr) return;
     if (watchdog_ != nullptr) {
       watchdog_->WatchWorkers([pool] {
@@ -345,9 +301,6 @@ class ObsCli {
                       hb.busy ? 1 : 0);
       }
     });
-#else
-    (void)pool;
-#endif
   }
 
   // Exports `engine`'s windowed latency/occupancy metrics on the
@@ -356,7 +309,6 @@ class ObsCli {
   // lifetime shorter than the CLI's is safe; the watchdog must stop
   // before the engine dies (Finish() does).
   void WatchEngine(QueryEngine* engine) {
-#ifdef PBFS_TRACING
     if (!serving_live() || engine == nullptr) return;
     engine->ExportLiveMetrics(&registry_);
     if (watchdog_ != nullptr) {
@@ -370,9 +322,6 @@ class ObsCli {
         return samples;
       });
     }
-#else
-    (void)engine;
-#endif
   }
 
   // Exports a network front-end's live metric families (the
@@ -383,47 +332,32 @@ class ObsCli {
   // it before Finish() as with WatchEngine.
   template <typename ServerT>
   void WatchServer(ServerT* server) {
-#ifdef PBFS_TRACING
     if (!serving_live() || server == nullptr) return;
     server->ExportLiveMetrics(&registry_);
-#else
-    (void)server;
-#endif
   }
 
-#ifdef PBFS_TRACING
   // The live registry, for binaries registering their own metrics.
   MetricsRegistry* registry() { return &registry_; }
   // Bound /metrics port, or -1 when the server is not running.
   int metrics_port() const { return server_.running() ? server_.port() : -1; }
   StallWatchdog* watchdog() { return watchdog_.get(); }
-#else
-  int metrics_port() const { return -1; }
-#endif
 
   // Audits the placement of `graph` plus a first-touch state probe run
   // on `pool` against the task-range ownership model (profile mode
   // only). Call between Start() and Finish(), after the graph exists.
   void AuditPlacement(const Graph& graph, WorkerPool* pool,
                       uint32_t split_size) {
-#ifdef PBFS_TRACING
     if (!profile_) return;
     const GraphPlacementAudit audit =
         AuditBfsPlacement(graph, pool, split_size);
     numa_json_ = audit.ToJson();
     numa_text_ = audit.ToString();
-#else
-    (void)graph;
-    (void)pool;
-    (void)split_size;
-#endif
   }
 
   // Call once before exit: stops the session, writes whichever outputs
   // were requested, and in profile mode prints the metrics table and
   // writes the enriched BENCH_<name>.json.
   void Finish() {
-#ifdef PBFS_TRACING
     // Live consumers go first: the watchdog and the scrape server read
     // the pool/engine through their sources, and callers destroy those
     // right after Finish() returns.
@@ -490,15 +424,9 @@ class ObsCli {
       }
     }
     if (profile_ || always_write_json_) json_.WriteFile(json_path_);
-#else
-    // OFF build: --profile records nothing, so it also writes nothing;
-    // only benches that always emit their JSON document still do.
-    if (always_write_json_) json_.WriteFile(json_path_);
-#endif
   }
 
  private:
-#ifdef PBFS_TRACING
   // "trace_id=42" (anywhere in the query string) -> 42; 0 when absent
   // or unparsable.
   static uint64_t ParseTraceIdQuery(const std::string& query) {
@@ -642,7 +570,6 @@ class ObsCli {
     }
     if (!numa_json_.empty()) json_.AddRaw("numa_audit", numa_json_);
   }
-#endif
 
   BenchJson json_;
   std::string json_path_;
@@ -665,12 +592,10 @@ class ObsCli {
   std::string watchdog_dump_dir_ = ".";
   std::string slowlog_path_;
   double trace_slow_ms_ = 250;
-#ifdef PBFS_TRACING
   MetricsRegistry registry_;
   MetricsHttpServer server_;
   std::unique_ptr<StallWatchdog> watchdog_;
   std::unique_ptr<std::ofstream> slowlog_file_;
-#endif
 };
 
 }  // namespace obs

@@ -19,7 +19,7 @@
 // Both backends share one async-signal-safe handler: read PC/FP from
 // the ucontext, walk the frame-pointer chain (stack bounds captured at
 // thread registration; requires -fno-omit-frame-pointer, which the
-// build adds under PBFS_TRACING), read the global phase word, and push
+// build always adds), read the global phase word, and push
 // the raw sample into the thread's SPSC ring. A background aggregator
 // drains the rings every ~100 ms and folds samples into a hash table
 // keyed by (stack, phase), capped at Options::max_unique_stacks — on

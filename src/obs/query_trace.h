@@ -29,8 +29,9 @@
 // entry points take the timestamp from the caller (NowNanos()), so
 // fake-clock tests drive the store deterministically.
 //
-// Compiled only under PBFS_TRACING like the rest of src/obs; the CI nm
-// check pins that an OFF build links none of these symbols.
+// The store is always on: the server and the engine stamp every query
+// whether or not a trace session is active (the cost is measured in
+// docs/observability.md, "Always-on cost").
 #ifndef PBFS_OBS_QUERY_TRACE_H_
 #define PBFS_OBS_QUERY_TRACE_H_
 

@@ -18,12 +18,11 @@
 //    literals on the hot path, or strings interned once off the hot
 //    path (Intern) for dynamic names like BFS variant names.
 //
-// The whole subsystem is compiled only when PBFS_TRACING is defined
-// (CMake option PBFS_TRACING, mirroring PBFS_SCHED_TESTING). Call sites
-// in kernels and the scheduler are `#ifdef PBFS_TRACING` blocks, so a
-// -DPBFS_TRACING=OFF build links no obs symbols and runs the unmodified
-// hot path. With tracing compiled in but no session started, every
-// instrumentation point costs one relaxed atomic load.
+// The subsystem is always compiled in and gated at run time. With no
+// session started, a span or instant costs one relaxed atomic load.
+// Some instrumentation runs regardless of a session: the per-task
+// worker heartbeat, the per-level phase tag, and the per-query
+// QueryTraceStore stamps (see docs/observability.md, "Always-on cost").
 //
 // See docs/observability.md for the event model and exporters.
 #ifndef PBFS_OBS_TRACE_H_

@@ -11,10 +11,8 @@
 // the differential suite can replay those pathological schedules
 // deterministically.
 //
-// The hooks are compiled in only when PBFS_SCHED_PERTURB is defined
-// (CMake option PBFS_SCHED_TESTING, ON by default for developer and CI
-// builds). Production builds configured with -DPBFS_SCHED_TESTING=OFF
-// get the unmodified hot path: no policy pointer check per fetch.
+// The hooks are always compiled in and gated at run time: with no policy
+// installed (the default) Fetch pays one null-pointer check per call.
 #ifndef PBFS_SCHED_STEAL_POLICY_H_
 #define PBFS_SCHED_STEAL_POLICY_H_
 

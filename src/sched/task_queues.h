@@ -67,8 +67,7 @@ class TaskQueues {
 
   // Installs a schedule perturbation (null restores the default probe
   // order). Testing-only: must be called between loops, never while
-  // workers are fetching, and has no effect unless the library was built
-  // with PBFS_SCHED_TESTING (see steal_policy.h).
+  // workers are fetching (see steal_policy.h).
   void SetStealPolicy(const StealPolicy* policy) { policy_ = policy; }
   const StealPolicy* steal_policy() const { return policy_; }
 
@@ -82,20 +81,15 @@ class TaskQueues {
     // Nothing dealt (zero-vertex loop, or Reset never called): return
     // empty without scanning queue state left over from earlier loops.
     if (num_tasks_ == 0) return {};
-#ifdef PBFS_SCHED_PERTURB
     const StealPolicy* policy = policy_;
     if (policy != nullptr) policy->OnFetch(worker_id, workers);
-#endif
     for (int probe = 0; probe < workers; ++probe) {
       int offset;
-#ifdef PBFS_SCHED_PERTURB
       if (policy != nullptr) {
         offset = policy->ProbeOffset(worker_id, probe, workers,
                                      *steal_cursor);
         PBFS_DCHECK(offset >= 0 && offset < workers);
-      } else
-#endif
-      {
+      } else {
         offset = (*steal_cursor + probe) % workers;
       }
       int i = (worker_id + offset) % workers;

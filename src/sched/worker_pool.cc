@@ -2,25 +2,20 @@
 
 #include <optional>
 
-#include "platform/thread_pin.h"
-#include "util/check.h"
-
-#ifdef PBFS_TRACING
 #include "obs/profiler/sampling_profiler.h"
 #include "obs/trace.h"
+#include "platform/thread_pin.h"
+#include "util/check.h"
 #include "util/timer.h"
-#endif
 
 namespace pbfs {
 
-#ifdef PBFS_TRACING
 namespace {
 // Distinguishes concurrent loops in a trace: the coordinating
 // "sched.parallel_for" span and each worker's "sched.worker_loop" span
 // carry the same loop id, so per-loop task balance is checkable.
 std::atomic<uint64_t> g_loop_counter{1};
 }  // namespace
-#endif
 
 WorkerPool::WorkerPool(const Options& options)
     : num_workers_(options.num_workers), queues_(options.num_workers) {
@@ -45,9 +40,7 @@ WorkerPool::WorkerPool(const Options& options)
     cpus = topo->AssignWorkersToCpus(num_workers_);
   }
 
-#ifdef PBFS_TRACING
   heartbeats_ = std::make_unique<Heartbeat[]>(num_workers_);
-#endif
   threads_.reserve(num_workers_);
   for (int w = 0; w < num_workers_; ++w) {
     int cpu = options.pin_threads ? cpus[w] : -1;
@@ -67,12 +60,10 @@ WorkerPool::~WorkerPool() {
 
 void WorkerPool::WorkerMain(int worker_id, int cpu) {
   if (cpu >= 0) PinCurrentThreadToCpu(cpu);
-#ifdef PBFS_TRACING
   obs::Tracer::SetThreadLabel("worker", worker_id);
   // Give the sampling profiler a ring (and stack bounds) for this
   // worker; a no-op unless/until a profiling session starts.
   obs::SamplingProfiler::RegisterCurrentThread();
-#endif
   uint64_t seen_epoch = 0;
   for (;;) {
     const std::function<void(int)>* job = nullptr;
@@ -84,18 +75,14 @@ void WorkerPool::WorkerMain(int worker_id, int cpu) {
       seen_epoch = epoch_;
       job = job_;
     }
-#ifdef PBFS_TRACING
     // Job-start bump + busy flag: the watchdog's stall episode re-arms
     // between jobs, and an idle (not busy) frozen epoch is never a
     // stall.
     Heartbeat& heartbeat = heartbeats_[worker_id];
     heartbeat.epoch.fetch_add(1, std::memory_order_relaxed);
     heartbeat.busy.store(true, std::memory_order_relaxed);
-#endif
     (*job)(worker_id);
-#ifdef PBFS_TRACING
     heartbeat.busy.store(false, std::memory_order_relaxed);
-#endif
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--active_ == 0) done_cv_.notify_one();
@@ -122,7 +109,6 @@ void WorkerPool::ParallelFor(uint64_t total, uint32_t split_size,
   // later manual Fetch (e.g. benches driving queues via RunOnWorkers).
   queues_.Reset(total, split_size);
   if (total == 0) return;
-#ifdef PBFS_TRACING
   const uint64_t loop_id =
       g_loop_counter.fetch_add(1, std::memory_order_relaxed);
   obs::ScopedSpan loop_span("sched.parallel_for");
@@ -130,29 +116,22 @@ void WorkerPool::ParallelFor(uint64_t total, uint32_t split_size,
   loop_span.AddArg("total", total);
   loop_span.AddArg("split", split_size);
   loop_span.AddArg("tasks", (total + split_size - 1) / split_size);
-#endif
   std::function<void(int)> job = [&](int worker_id) {
-#ifdef PBFS_SCHED_PERTURB
     if (const StealPolicy* policy = queues_.steal_policy()) {
       policy->OnLoopStart(worker_id, num_workers_);
     }
-#endif
-#ifdef PBFS_TRACING
     const bool tracing = obs::Tracer::Get().enabled();
     const int64_t t0 = tracing ? NowNanos() : 0;
     obs::PerfSample perf0;
     if (tracing) perf0 = obs::PerfCounters::ReadCurrentThread();
-#endif
     int steal_cursor = 0;
     uint64_t local = 0;
     uint64_t stolen = 0;
     for (;;) {
       TaskRange range = queues_.Fetch(worker_id, &steal_cursor);
       if (range.empty()) break;
-#ifdef PBFS_TRACING
       // Heartbeat: one relaxed add on a worker-private line per task.
       heartbeats_[worker_id].epoch.fetch_add(1, std::memory_order_relaxed);
-#endif
       // steal_cursor stays 0 while fetching from the worker's own queue.
       if (steal_cursor == 0) {
         ++local;
@@ -165,7 +144,6 @@ void WorkerPool::ParallelFor(uint64_t total, uint32_t split_size,
     if (stolen != 0) {
       stolen_tasks_.fetch_add(stolen, std::memory_order_relaxed);
     }
-#ifdef PBFS_TRACING
     if (tracing) {
       obs::TraceEvent event =
           obs::MakeSpan("sched.worker_loop", t0, NowNanos());
@@ -176,27 +154,22 @@ void WorkerPool::ParallelFor(uint64_t total, uint32_t split_size,
                             obs::PerfCounters::ReadCurrentThread());
       obs::Tracer::Get().Record(event);
     }
-#endif
   };
   Dispatch(job);
 }
 
 void WorkerPool::ParallelForStatic(uint64_t total, const RangeBody& body) {
   if (total == 0) return;
-#ifdef PBFS_TRACING
   const uint64_t loop_id =
       g_loop_counter.fetch_add(1, std::memory_order_relaxed);
   obs::ScopedSpan loop_span("sched.parallel_for_static");
   loop_span.AddArg("loop", loop_id);
   loop_span.AddArg("total", total);
-#endif
   std::function<void(int)> job = [&, this, total](int worker_id) {
-#ifdef PBFS_TRACING
     const bool tracing = obs::Tracer::Get().enabled();
     const int64_t t0 = tracing ? NowNanos() : 0;
     obs::PerfSample perf0;
     if (tracing) perf0 = obs::PerfCounters::ReadCurrentThread();
-#endif
     uint64_t w = static_cast<uint64_t>(worker_id);
     uint64_t workers = static_cast<uint64_t>(num_workers_);
     // Partition borders are rounded to multiples of 64 so kernels whose
@@ -209,7 +182,6 @@ void WorkerPool::ParallelForStatic(uint64_t total, const RangeBody& body) {
     uint64_t begin = border(w);
     uint64_t end = border(w + 1);
     if (begin < end) body(worker_id, begin, end);
-#ifdef PBFS_TRACING
     // One span per worker per static loop, mirroring sched.worker_loop:
     // `elems` is the worker's contiguous share, so per-worker counter
     // deltas are attributable to a known slice of the iteration space
@@ -223,7 +195,6 @@ void WorkerPool::ParallelForStatic(uint64_t total, const RangeBody& body) {
                             obs::PerfCounters::ReadCurrentThread());
       obs::Tracer::Get().Record(event);
     }
-#endif
   };
   Dispatch(job);
 }
@@ -250,7 +221,6 @@ void WorkerPool::RunOnWorkers(const std::function<void(int)>& fn) {
   Dispatch(fn);
 }
 
-#ifdef PBFS_TRACING
 std::vector<WorkerPool::WorkerHeartbeat> WorkerPool::HeartbeatSamples()
     const {
   std::vector<WorkerHeartbeat> samples;
@@ -262,6 +232,5 @@ std::vector<WorkerPool::WorkerHeartbeat> WorkerPool::HeartbeatSamples()
   }
   return samples;
 }
-#endif
 
 }  // namespace pbfs

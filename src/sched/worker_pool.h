@@ -77,7 +77,7 @@ class WorkerPool : public Executor {
   // Installs a deterministic schedule perturbation for subsequent
   // ParallelFor loops (null restores the default schedule). Testing-only
   // (see steal_policy.h): must be called from the coordinating thread
-  // between loops, and is inert unless built with PBFS_SCHED_TESTING.
+  // between loops.
   void SetStealPolicy(const StealPolicy* policy) {
     queues_.SetStealPolicy(policy);
   }
@@ -87,8 +87,8 @@ class WorkerPool : public Executor {
   // ResetSchedulerStats). "Local" tasks were fetched from the worker's
   // own queue, "stolen" from another worker's. The paper's claim that
   // with balanced queues most tasks stay with their original workers is
-  // directly observable here (see bench/sched_steals). Builds with
-  // PBFS_TRACING additionally record the same counts per loop as
+  // directly observable here (see bench/sched_steals). While a trace
+  // session is active the same counts are also recorded per loop as
   // "sched.worker_loop" trace spans, one per worker per ParallelFor.
   struct SchedulerStats {
     uint64_t local_tasks = 0;
@@ -111,11 +111,10 @@ class WorkerPool : public Executor {
     stolen_tasks_.store(0, std::memory_order_relaxed);
   }
 
-#ifdef PBFS_TRACING
-  // Liveness signal for the stall watchdog (tracing builds only). Each
-  // worker owns a cache-line-private epoch bumped on every task fetch
-  // in the work-stealing loop and once at each job start, plus a busy
-  // flag spanning the job. A busy worker whose epoch is frozen is stuck
+  // Liveness signal for the stall watchdog. Each worker owns a
+  // cache-line-private epoch bumped on every task fetch in the
+  // work-stealing loop and once at each job start, plus a busy flag
+  // spanning the job. A busy worker whose epoch is frozen is stuck
   // inside one task body.
   struct WorkerHeartbeat {
     int worker_id = -1;
@@ -123,7 +122,6 @@ class WorkerPool : public Executor {
     bool busy = false;
   };
   std::vector<WorkerHeartbeat> HeartbeatSamples() const;
-#endif
 
  private:
   void WorkerMain(int worker_id, int cpu);
@@ -146,7 +144,6 @@ class WorkerPool : public Executor {
   std::atomic<uint64_t> local_tasks_{0};
   std::atomic<uint64_t> stolen_tasks_{0};
 
-#ifdef PBFS_TRACING
   // One cache line per worker: the owning worker writes relaxed, the
   // watchdog poll thread reads relaxed; no line is shared.
   struct alignas(kCacheLineSize) Heartbeat {
@@ -154,7 +151,6 @@ class WorkerPool : public Executor {
     std::atomic<bool> busy{false};
   };
   std::unique_ptr<Heartbeat[]> heartbeats_;
-#endif
 };
 
 // Executor adapter that runs loops on a pool with static partitioning

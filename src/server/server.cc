@@ -11,12 +11,9 @@
 
 #include <cstring>
 
+#include "obs/query_trace.h"
 #include "util/check.h"
 #include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/query_trace.h"
-#endif
 
 namespace pbfs {
 namespace server {
@@ -81,12 +78,10 @@ void PbfsServer::Stop() {
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
   wake_pipe_[0] = wake_pipe_[1] = -1;
-#ifdef PBFS_TRACING
   if (live_registry_ != nullptr) {
     live_registry_->RemoveCollectors(this);
     live_registry_ = nullptr;
   }
-#endif
 }
 
 void PbfsServer::WakePoll() {
@@ -113,7 +108,6 @@ Query BuildQuery(const QueryRequest& req, int64_t deadline_ns) {
   return q;
 }
 
-#ifdef PBFS_TRACING
 obs::QueryOutcome OutcomeFor(QueryStatus status) {
   switch (status) {
     case QueryStatus::kOk:
@@ -128,7 +122,6 @@ obs::QueryOutcome OutcomeFor(QueryStatus status) {
   }
   return obs::QueryOutcome::kError;
 }
-#endif
 
 }  // namespace
 
@@ -198,7 +191,6 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
       ticket.deadline_ns = deadline_ns;
       ticket.rx_ns = now_ns;
       ticket.query = BuildQuery(q, deadline_ns);
-#ifdef PBFS_TRACING
       // Open the trace entry at frame-decode time (kServer owner): the
       // engine's own Begin/Finish then defer to it, so the record stays
       // open until the response hits the wire. Client-supplied ids pass
@@ -215,7 +207,6 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
       info.priority = static_cast<uint8_t>(q.priority);
       info.sampled = ticket.query.trace_sampled;
       trace_store.Begin(trace_id, obs::TraceOwner::kServer, info, now_ns);
-#endif
       const AdmitResult r =
           admission_.Offer(std::move(ticket), engine_inflight_.load());
       if (r != AdmitResult::kAdmitted) {
@@ -224,17 +215,13 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
         resp.type = q.type;
         resp.status = QueryStatus::kShed;
         QueueQueryResponseLocked(conn, resp, now_ns, &next);
-#ifdef PBFS_TRACING
         trace_store.SetShedReason(trace_id, r == AdmitResult::kShedQueueFull
                                                 ? "queue_full"
                                                 : "deadline");
         trace_store.Finish(trace_id, obs::TraceOwner::kServer,
                            obs::QueryOutcome::kShed, now_ns);
-#endif
       } else {
-#ifdef PBFS_TRACING
         trace_store.Stamp(trace_id, obs::QueryStageBound::kAdmitted, now_ns);
-#endif
       }
     }
     work = std::move(next);
@@ -254,10 +241,8 @@ void PbfsServer::SubmitLoop() {
     f.priority = ticket.priority;
     f.rx_ns = ticket.rx_ns;
     f.trace_id = ticket.query.trace_id;
-#ifdef PBFS_TRACING
     obs::QueryTraceStore::Get().Stamp(
         f.trace_id, obs::QueryStageBound::kTaken, NowNanos());
-#endif
     if (expired) {
       // Missed its deadline while queued: answer without burning a
       // traversal. Routed through the completion queue so delivery
@@ -276,12 +261,10 @@ void PbfsServer::SubmitLoop() {
       }
       f.submit_ns = NowNanos();
       f.counted_inflight = true;
-#ifdef PBFS_TRACING
       // Stamped before Submit so the engine's own (later) stamp of the
       // same boundary is the no-op, not this one.
       obs::QueryTraceStore::Get().Stamp(
           f.trace_id, obs::QueryStageBound::kSubmitted, f.submit_ns);
-#endif
       QueryEngine::Submission sub = engine_->Submit(std::move(ticket.query));
       f.future = std::move(sub.result);
     }
@@ -342,18 +325,12 @@ void PbfsServer::DeliverResponse(uint64_t session_id,
                                  const QueryResponse& resp, Priority priority,
                                  int64_t rx_ns, uint64_t trace_id) {
   const int64_t now = NowNanos();
-#ifdef PBFS_TRACING
   latency_windows_[static_cast<int>(priority)].Add(
       static_cast<double>(now - rx_ns) * 1e-6, now);
   // Closing here (not at engine completion) makes the record's wire
   // latency span decode through tx-queue — the latency the client saw.
   obs::QueryTraceStore::Get().Finish(trace_id, obs::TraceOwner::kServer,
                                      OutcomeFor(resp.status), now);
-#else
-  (void)priority;
-  (void)rx_ns;
-  (void)trace_id;
-#endif
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (resp.status == QueryStatus::kOk) ++stats_.queries_ok;
@@ -528,8 +505,6 @@ ServerStats PbfsServer::GetStats() const {
   return s;
 }
 
-#ifdef PBFS_TRACING
-
 void PbfsServer::ExportLiveMetrics(obs::MetricsRegistry* registry) {
   PBFS_CHECK(registry != nullptr);
   live_registry_ = registry;
@@ -644,8 +619,6 @@ void PbfsServer::CollectLiveMetrics(obs::ExpositionWriter& writer) const {
                   ex.latency_ms);
   }
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace server
 }  // namespace pbfs

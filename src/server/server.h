@@ -34,7 +34,7 @@
 // internal lock; comp_mu_ (completion queue) is never held together
 // with mu_.
 //
-// Under PBFS_TRACING the server exports pbfs_server_* metric families
+// The server exports pbfs_server_* metric families
 // (sessions, frames, admitted/shed/timed-out, queue depth,
 // per-priority latency rolling windows) via ExportLiveMetrics on the
 // shared live-telemetry registry.
@@ -53,14 +53,11 @@
 #include <vector>
 
 #include "engine/query_engine.h"
+#include "obs/live/metrics_registry.h"
+#include "obs/live/rolling_window.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/session.h"
-
-#ifdef PBFS_TRACING
-#include "obs/live/metrics_registry.h"
-#include "obs/live/rolling_window.h"
-#endif
 
 namespace pbfs {
 namespace server {
@@ -118,10 +115,8 @@ class PbfsServer {
   int port() const { return port_; }
   ServerStats GetStats() const;
 
-#ifdef PBFS_TRACING
   // Registers the pbfs_server_* collector; withdrawn in Stop().
   void ExportLiveMetrics(obs::MetricsRegistry* registry);
-#endif
 
  private:
   struct Conn {
@@ -199,11 +194,9 @@ class PbfsServer {
   std::thread submit_thread_;
   std::thread completion_thread_;
 
-#ifdef PBFS_TRACING
   void CollectLiveMetrics(obs::ExpositionWriter& writer) const;
   obs::MetricsRegistry* live_registry_ = nullptr;
   obs::RollingWindow latency_windows_[kNumPriorities];
-#endif
 };
 
 }  // namespace server

@@ -1,10 +1,7 @@
 #include "sketch/oracle.h"
 
-#include "util/check.h"
-
-#ifdef PBFS_TRACING
 #include "obs/trace.h"
-#endif
+#include "util/check.h"
 
 namespace pbfs {
 
@@ -43,9 +40,7 @@ DistanceOracle::Result DistanceOracle::Distance(Vertex s, Vertex t,
     return result;
   }
   PBFS_CHECK(exact_ != nullptr);  // sketch-only oracle cannot fall back
-#ifdef PBFS_TRACING
   obs::ScopedSpan span("sketch.exact_fallback");
-#endif
   ++stats_.exact_fallbacks;
   // The sketch upper bound caps the traversal radius: the true distance
   // cannot exceed it, so levels beyond it are irrelevant.

@@ -3,12 +3,9 @@
 #include <chrono>
 #include <utility>
 
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/trace.h"
-#endif
 
 namespace pbfs {
 
@@ -58,9 +55,7 @@ bool SketchRebuilder::StopRequested() const {
 }
 
 void SketchRebuilder::Main() {
-#ifdef PBFS_TRACING
   obs::Tracer::SetThreadLabel("sketch-rebuilder", -1);
-#endif
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return stop_ || notified_; });
@@ -92,10 +87,8 @@ bool SketchRebuilder::RunOnce() {
         return false;
       }
     }
-#ifdef PBFS_TRACING
     obs::ScopedSpan span("sketch.rebuild");
     span.AddArg("content_version", target);
-#endif
     if (options_.debug_delay_ms > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(options_.debug_delay_ms));

@@ -3,11 +3,8 @@
 #include <algorithm>
 
 #include "bfs/multi_source.h"
-#include "util/check.h"
-
-#ifdef PBFS_TRACING
 #include "obs/trace.h"
-#endif
+#include "util/check.h"
 
 namespace pbfs {
 
@@ -56,11 +53,9 @@ std::shared_ptr<const ClusterSketch> BuildSketch(const Graph& graph,
   PBFS_CHECK(executor != nullptr);
   PBFS_CHECK(options.num_clusters > 0);
   PBFS_CHECK(options.cluster_size > 0 && options.cluster_size <= 64);
-#ifdef PBFS_TRACING
   obs::ScopedSpan span("sketch.build");
   span.AddArg("clusters", static_cast<uint64_t>(options.num_clusters));
   span.AddArg("content_version", content_version);
-#endif
   const Vertex n = graph.num_vertices();
   auto sketch = std::shared_ptr<ClusterSketch>(new ClusterSketch());
   sketch->num_vertices_ = n;
@@ -141,9 +136,7 @@ std::shared_ptr<const ClusterSketch> BuildSketch(const Graph& graph,
       }
     });
   }
-#ifdef PBFS_TRACING
   span.AddArg("bytes", sketch->SketchBytes());
-#endif
   return sketch;
 }
 

@@ -23,15 +23,6 @@
 namespace pbfs {
 namespace {
 
-#ifndef PBFS_SCHED_PERTURB
-#define PBFS_SKIP_WITHOUT_PERTURB() \
-  GTEST_SKIP() << "built with PBFS_SCHED_TESTING=OFF; hooks compiled out"
-#else
-#define PBFS_SKIP_WITHOUT_PERTURB() \
-  do {                              \
-  } while (false)
-#endif
-
 // Drains `queues` from a single thread, interleaving the workers'
 // fetches in a seeded random order — a deterministic stand-in for "any
 // schedule" — and returns how many times each vertex was covered.
@@ -205,7 +196,6 @@ INSTANTIATE_TEST_SUITE_P(
 // Exactly-once must hold under every perturbation schedule: a policy
 // whose probe offsets were not a permutation would silently drop tasks.
 TEST(SchedPerturbTest, ExactlyOnceUnderEveryPerturbation) {
-  PBFS_SKIP_WITHOUT_PERTURB();
   for (const NamedStealPolicy& np : PerturbationSchedules()) {
     for (const PropertyCase& pc :
          {PropertyCase{4, 1000, 64}, PropertyCase{8, 3, 1},
@@ -251,7 +241,6 @@ TEST(SchedPerturbTest, ProbeOffsetsAreAPermutation) {
 // Steal-heavy: with the policy installed, a sequential drain by worker 0
 // fetches from every other queue before touching its own.
 TEST(SchedPerturbTest, StealHeavyRaidsOtherQueuesFirst) {
-  PBFS_SKIP_WITHOUT_PERTURB();
   StealHeavyPolicy policy;
   TaskQueues queues(4);
   queues.SetStealPolicy(&policy);
@@ -266,7 +255,6 @@ TEST(SchedPerturbTest, StealHeavyRaidsOtherQueuesFirst) {
 // Reversed: queues are drained in descending queue order regardless of
 // which worker fetches.
 TEST(SchedPerturbTest, ReversedOrderDrainsHighestQueueFirst) {
-  PBFS_SKIP_WITHOUT_PERTURB();
   ReversedOrderPolicy policy;
   TaskQueues queues(4);
   queues.SetStealPolicy(&policy);
@@ -280,7 +268,6 @@ TEST(SchedPerturbTest, ReversedOrderDrainsHighestQueueFirst) {
 
 // Starvation: thieves empty the victim's queue before their own.
 TEST(SchedPerturbTest, StarvationVictimQueueRaidedFirst) {
-  PBFS_SKIP_WITHOUT_PERTURB();
   StarvationPolicy policy(/*victim=*/0, /*victim_yields=*/1);
   TaskQueues queues(4);
   queues.SetStealPolicy(&policy);
@@ -297,7 +284,6 @@ TEST(SchedPerturbTest, StarvationVictimQueueRaidedFirst) {
 // WorkerPool under perturbation still covers ranges exactly once, and
 // steal-heavy actually steals nearly everything.
 TEST(SchedPerturbTest, WorkerPoolCoversExactlyOnceUnderPerturbations) {
-  PBFS_SKIP_WITHOUT_PERTURB();
   for (const NamedStealPolicy& np : PerturbationSchedules()) {
     WorkerPool pool({.num_workers = 4, .pin_threads = false});
     pool.SetStealPolicy(np.policy);
@@ -316,7 +302,6 @@ TEST(SchedPerturbTest, WorkerPoolCoversExactlyOnceUnderPerturbations) {
 }
 
 TEST(SchedPerturbTest, StealHeavyInflatesStealFraction) {
-  PBFS_SKIP_WITHOUT_PERTURB();
   StealHeavyPolicy policy;
   WorkerPool pool({.num_workers = 4, .pin_threads = false});
   pool.SetStealPolicy(&policy);
@@ -335,7 +320,6 @@ TEST(SchedPerturbTest, StealHeavyInflatesStealFraction) {
 // ---------------------------------------------------------------------
 
 TEST(SchedPerturbTest, AllParallelVariantsMatchOracleUnderPerturbations) {
-  PBFS_SKIP_WITHOUT_PERTURB();
   uint64_t seed = diff::TrialSeed(77);
   std::vector<diff::CorpusGraph> corpus = diff::MakeCorpus(seed);
   BfsOptions options;

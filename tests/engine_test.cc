@@ -22,17 +22,14 @@
 #include "differential/diff_util.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
+#include "obs/live/metrics_registry.h"
+#include "obs/trace.h"
 #include "sched/steal_policy.h"
 #include "sched/worker_pool.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "util/rng.h"
 #include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include "obs/live/metrics_registry.h"
-#include "obs/trace.h"
-#endif
 
 namespace pbfs {
 namespace {
@@ -359,12 +356,8 @@ TEST(QueryEngineStressTest, ConcurrentClientsUnderPerturbedSchedules) {
 
 // Trace-backed accounting (the "obs" leg): every admitted query emits
 // exactly one terminal "query.done" instant, and the latency histogram
-// holds exactly one sample per kOk completion. The histogram half runs
-// in every build; the trace half needs PBFS_TRACING.
+// holds exactly one sample per kOk completion.
 TEST(QueryEngineObsTest, EveryAdmittedQueryEmitsOneTerminalEvent) {
-#ifndef PBFS_TRACING
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-#else
   Graph graph = ErdosRenyi(300, 900, /*seed=*/21);
   WorkerPool pool({.num_workers = 4, .pin_threads = false});
   obs::Tracer::Get().Start();
@@ -417,7 +410,6 @@ TEST(QueryEngineObsTest, EveryAdmittedQueryEmitsOneTerminalEvent) {
   EXPECT_EQ(stats.latency_ms.count(), stats.queries_completed);
   EXPECT_GT(stats.queries_completed, 0u);
   EXPECT_GT(stats.queries_invalid, 0u);  // the invalid path was exercised
-#endif
 }
 
 TEST(QueryEngineObsTest, LatencyHistogramCountsOkCompletions) {
@@ -447,7 +439,6 @@ TEST(QueryEngineObsTest, LatencyHistogramCountsOkCompletions) {
 
 // ---- Engine behind server-side admission, driven to overload ----
 
-#ifdef PBFS_TRACING
 // Sums every sample of a counter family in Prometheus exposition text,
 // across label sets (pbfs_server_shed_total has one sample per shed
 // reason).
@@ -471,7 +462,6 @@ double SumFamily(const std::string& exposition, const std::string& family) {
   }
   return sum;
 }
-#endif  // PBFS_TRACING
 
 TEST(QueryEngineOverloadTest, SaturatedAdmissionShedsAndCountsExactly) {
   // The engine never sheds on its own (kShed is produced only by the
@@ -490,12 +480,10 @@ TEST(QueryEngineOverloadTest, SaturatedAdmissionShedsAndCountsExactly) {
   server::PbfsServer srv(&engine, opts);
   ASSERT_TRUE(srv.Start());
 
-#ifdef PBFS_TRACING
   obs::MetricsRegistry registry;
   srv.ExportLiveMetrics(&registry);
   EXPECT_EQ(SumFamily(registry.ExpositionText(), "pbfs_server_shed_total"),
             0.0);
-#endif
 
   server::PbfsClient client;
   ASSERT_TRUE(client.Connect({.port = srv.port()}));
@@ -536,11 +524,9 @@ TEST(QueryEngineOverloadTest, SaturatedAdmissionShedsAndCountsExactly) {
   engine.Drain();
   EXPECT_EQ(engine.Stats().queries_completed, static_cast<uint64_t>(ok));
 
-#ifdef PBFS_TRACING
   // One increment per shed, summed across the reason labels.
   EXPECT_EQ(SumFamily(registry.ExpositionText(), "pbfs_server_shed_total"),
             static_cast<double>(shed));
-#endif
   srv.Stop();
 }
 

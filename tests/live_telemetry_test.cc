@@ -9,22 +9,20 @@
 // HTTP tests bind ephemeral ports so parallel ctest jobs never
 // collide.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#ifdef PBFS_TRACING
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstring>
 
 #include "engine/query_engine.h"
 #include "graph/generators.h"
@@ -36,18 +34,9 @@
 #include "sched/worker_pool.h"
 #include "util/flags.h"
 #include "util/timer.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-#ifndef PBFS_TRACING
-
-TEST(LiveTelemetryTest, SkippedWithoutTracing) {
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-}
-
-#else  // PBFS_TRACING
 
 using obs::ExpositionWriter;
 using obs::MetricsHttpServer;
@@ -510,8 +499,6 @@ TEST_F(EngineLiveTelemetryTest, DebugDelayKeepsQueryVisibleInFlight) {
   engine.Drain();
   EXPECT_TRUE(engine.InFlightQueries().empty());
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace pbfs

@@ -16,23 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "obs/numa_audit.h"
 #include "sched/worker_pool.h"
 #include "util/aligned_buffer.h"
 
-#ifdef PBFS_TRACING
-#include "obs/numa_audit.h"
-#endif
-
 namespace pbfs {
 namespace {
-
-#ifndef PBFS_TRACING
-
-TEST(NumaAuditTest, SkippedWithoutTracing) {
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-}
-
-#else  // PBFS_TRACING
 
 using obs::AuditBfsPlacement;
 using obs::AuditPages;
@@ -197,8 +186,6 @@ TEST(NumaAuditTest, BfsPlacementAuditBalancesAndIsCleanOnOneNode) {
   ExpectBalancedJson(audit.ToJson());
   EXPECT_NE(audit.ToJson().find("\"arrays\":["), std::string::npos);
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace pbfs

@@ -26,26 +26,15 @@
 #include "bfs/sequential.h"
 #include "bfs/single_source.h"
 #include "graph/generators.h"
-#include "sched/steal_policy.h"
-#include "sched/worker_pool.h"
-
-#ifdef PBFS_TRACING
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sched/steal_policy.h"
+#include "sched/worker_pool.h"
 #include "util/timer.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-#ifndef PBFS_TRACING
-
-TEST(ObsTest, SkippedWithoutTracing) {
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-}
-
-#else  // PBFS_TRACING
 
 using obs::AggregateMetrics;
 using obs::ChromeTraceJson;
@@ -348,15 +337,12 @@ TEST(ObsSchedTest, TaskCountsBalanceUnderPerturbedSchedules) {
     // Every worker ran the loop body (even if it fetched nothing), so
     // each loop has one span per worker.
     EXPECT_EQ(worker_loops.size(), 3u * 4u) << schedule.name;
-#ifdef PBFS_SCHED_PERTURB
     // steal_heavy forces thieves ahead of owners, so steals must
     // actually appear; the invariant holds either way, but the schedule
-    // must be exercised. (Without the perturbation hooks compiled in,
-    // SetStealPolicy is inert and natural scheduling may not steal.)
+    // must be exercised.
     if (schedule.name == "steal_heavy") {
       EXPECT_GT(SumArg(worker_loops, "stolen"), 0u);
     }
-#endif
   }
 }
 
@@ -821,8 +807,6 @@ TEST(ObsMetricsTest, DerivedHardwareMetricsFollowArgTotals) {
   // The derived block shows up in ToString only where it exists.
   EXPECT_NE(snapshot.ToString().find("ipc="), std::string::npos);
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace pbfs

@@ -18,23 +18,12 @@
 
 #include "bfs/single_source.h"
 #include "graph/generators.h"
-#include "sched/worker_pool.h"
-
-#ifdef PBFS_TRACING
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
-#endif
+#include "sched/worker_pool.h"
 
 namespace pbfs {
 namespace {
-
-#ifndef PBFS_TRACING
-
-TEST(PerfCountersTest, SkippedWithoutTracing) {
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-}
-
-#else  // PBFS_TRACING
 
 using obs::AddPerfDeltaArgs;
 using obs::kNumPerfCounters;
@@ -195,8 +184,6 @@ TEST(PerfCountersTest, LiveCountersAreMonotonicAndBecomeDeltaArgs) {
   EXPECT_GT(event.Arg("cycles"), 0u);
   PerfCounters::Disable();
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace pbfs

@@ -15,24 +15,14 @@
 
 #include <gtest/gtest.h>
 
-#ifdef PBFS_TRACING
 #include "obs/profiler/phase_profile.h"
 #include "obs/profiler/phase_tag.h"
 #include "obs/profiler/sampling_profiler.h"
 #include "obs/profiler/symbolize.h"
 #include "obs/trace.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-#ifndef PBFS_TRACING
-
-TEST(ProfilerTest, SkippedWithoutTracing) {
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-}
-
-#else  // PBFS_TRACING
 
 using obs::BfsPhase;
 using obs::ClearCurrentBfsPhase;
@@ -378,8 +368,6 @@ TEST(PhaseProfileTest, OneSidedPhasesStillGetRows) {
   EXPECT_TRUE(saw_span_only);
   EXPECT_TRUE(saw_unattributed);
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace pbfs

@@ -23,20 +23,10 @@
 
 #include <gtest/gtest.h>
 
-#ifdef PBFS_TRACING
 #include "obs/query_trace.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-#ifndef PBFS_TRACING
-
-TEST(QueryTraceTest, SkippedWithoutTracing) {
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-}
-
-#else  // PBFS_TRACING
 
 using obs::QueryOutcome;
 using obs::QueryStageBound;
@@ -322,8 +312,6 @@ TEST(QueryTraceTest, ConfigureClearsAllState) {
   EXPECT_TRUE(store.Retained().empty());
   EXPECT_EQ(store.exemplar(0).trace_id, 0u);
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace pbfs

@@ -15,21 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#ifdef PBFS_TRACING
 #include "obs/live/rolling_window.h"
 #include "util/rng.h"
-#endif
 
 namespace pbfs {
 namespace {
-
-#ifndef PBFS_TRACING
-
-TEST(RollingWindowTest, SkippedWithoutTracing) {
-  GTEST_SKIP() << "library built with PBFS_TRACING=OFF";
-}
-
-#else  // PBFS_TRACING
 
 using obs::RollingWindow;
 
@@ -179,8 +169,6 @@ TEST(RollingWindowTest, ConcurrentWritersLoseNothing) {
   for (int t = 0; t < kThreads; ++t) expected_sum += (t + 1.0) * kPerThread;
   EXPECT_NEAR(final_stats.sum, expected_sum, expected_sum * 1e-9);
 }
-
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace pbfs

@@ -16,9 +16,7 @@
 #include "differential/diff_util.h"
 #include "dynamic/dynamic_util.h"
 #include "graph/generators.h"
-#ifdef PBFS_TRACING
 #include "obs/query_trace.h"
-#endif
 #include "sched/worker_pool.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -327,7 +325,6 @@ TEST(ServerE2eTest, ConnectionCapEvictsLeastRecentlyActive) {
   srv.Stop();
 }
 
-#ifdef PBFS_TRACING
 // A client-supplied trace context survives the whole pipeline: the
 // sampled query's span tree lands in the flight recorder under the
 // client's id, with the record's stage durations telescoping to its
@@ -398,7 +395,6 @@ TEST(ServerE2eTest, ClientTraceIdFlowsToRetainedRecord) {
   srv.Stop();
   store.Configure(obs::QueryTraceStore::Options());  // restore defaults
 }
-#endif  // PBFS_TRACING
 
 }  // namespace
 }  // namespace server

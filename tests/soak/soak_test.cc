@@ -8,8 +8,8 @@
 // binary is the CI smoke leg (a few seconds, thousands of queries) and
 // the overnight soak (PBFS_SOAK_SECONDS=3600 at a few kqps ≈ millions
 // of queries). Gates: zero oracle mismatches, zero watchdog reports,
-// accepted-query p99 within PBFS_SOAK_P99_MS, and (tracing builds) a
-// live /metrics endpoint that serves pbfs_server_* families throughout.
+// accepted-query p99 within PBFS_SOAK_P99_MS, and a live /metrics
+// endpoint that serves pbfs_server_* families throughout.
 //
 // Knobs (all env, all optional):
 //   PBFS_SOAK_SECONDS             wall-clock budget    (default 3)
@@ -38,16 +38,25 @@
 // telescope to exactly its wire latency, fast unsampled queries must
 // retain nothing, and the ring must stay within its cap.
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <deque>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -55,28 +64,9 @@
 
 #include "differential/diff_util.h"
 #include "dynamic/dynamic_util.h"
+#include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "sched/worker_pool.h"
-#include "server/client.h"
-#include "server/protocol.h"
-#include "server/server.h"
-#include "server/server_test_util.h"
-#include "util/rng.h"
-#include "util/timer.h"
-
-#ifdef PBFS_TRACING
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <unordered_set>
-
-#include "engine/query_engine.h"
 #include "obs/live/http_server.h"
 #include "obs/live/metrics_registry.h"
 #include "obs/live/stall_watchdog.h"
@@ -84,7 +74,13 @@
 #include "obs/profiler/sampling_profiler.h"
 #include "obs/profiler/symbolize.h"
 #include "obs/query_trace.h"
-#endif
+#include "sched/worker_pool.h"
+#include "server/client.h"
+#include "server/protocol.h"
+#include "server/server.h"
+#include "server/server_test_util.h"
+#include "util/rng.h"
+#include "util/timer.h"
 
 namespace pbfs {
 namespace server {
@@ -186,7 +182,6 @@ void DiffAgainstOracle(const VersionedOracle& oracle, const QueryRequest& req,
   }
 }
 
-#ifdef PBFS_TRACING
 std::string HttpGet(int port, const std::string& path) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
@@ -210,7 +205,6 @@ std::string HttpGet(int port, const std::string& path) {
   close(fd);
   return response;
 }
-#endif
 
 // ---- The soak ---------------------------------------------------------
 
@@ -237,7 +231,6 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
   PbfsServer srv(&engine, {});
   ASSERT_TRUE(srv.Start()) << note;
 
-#ifdef PBFS_TRACING
   // Full observability stack, exactly as a production deployment would
   // run it: engine + server metrics on one registry, the registry on a
   // live /metrics endpoint, and the stall watchdog over the engine's
@@ -320,7 +313,6 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
                    obs::SamplingProfiler::Get().unavailable_reason());
     }
   }
-#endif
 
   VersionedOracle oracle;
   std::atomic<bool> stop{false};
@@ -454,7 +446,6 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
     });
   }
 
-#ifdef PBFS_TRACING
   // Scraper: the endpoint must serve the server families for the whole
   // run, not just after shutdown.
   std::atomic<uint64_t> scrapes{0};
@@ -471,15 +462,12 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
     }
   });
-#endif
 
   std::this_thread::sleep_for(std::chrono::duration<double>(run_seconds));
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : clients) t.join();
   updater.join();
-#ifdef PBFS_TRACING
   scraper.join();
-#endif
 
   // Every ack is recorded now: deferred responses (which raced the
   // updater's Record) must all resolve, and must all match.
@@ -531,7 +519,6 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
   EXPECT_EQ(stats.updates_applied, updates_acked.load()) << note;
   EXPECT_EQ(stats.protocol_errors, 0u) << note;
 
-#ifdef PBFS_TRACING
   EXPECT_GT(scrapes.load(), 0u) << note;
   EXPECT_EQ(scrape_failures.load(), 0u)
       << "scrapes missing pbfs_server_* families " << note;
@@ -659,7 +646,6 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
   }
   watchdog.Stop();
   http.Stop();
-#endif
   srv.Stop();
 
   std::printf(
