@@ -1,9 +1,10 @@
 // Kernel-level microbenchmarks (google-benchmark): bitset operations at
 // every supported width, atomic OR updates, task queue fetch cost, task
-// creation, labeling computation, and single top-down / bottom-up
-// iterations. These quantify the low-level claims of the paper — task
-// fetch is "barely more than an atomic increment", wide bitset steps
-// amortize over concurrent BFSs — and serve as regression guards.
+// creation, labeling computation, single top-down / bottom-up
+// iterations, and the wire codec on a full level row. These quantify
+// the low-level claims of the paper — task fetch is "barely more than
+// an atomic increment", wide bitset steps amortize over concurrent
+// BFSs — and serve as regression guards.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "graph/labeling.h"
 #include "sched/executor.h"
 #include "sched/task_queues.h"
+#include "server/protocol.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
@@ -158,6 +160,51 @@ void BM_SequentialMsBfsBaseline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_edges() * 64);
 }
 BENCHMARK(BM_SequentialMsBfsBaseline);
+
+// One full kLevels response for 2^18 vertices, the 512 KiB row the
+// server encodes per query on perfbench's levels_kron workload.
+server::QueryResponse LevelsResponse() {
+  server::QueryResponse resp;
+  resp.type = QueryType::kLevels;
+  resp.levels.resize(size_t{1} << 18);
+  for (size_t i = 0; i < resp.levels.size(); ++i) {
+    resp.levels[i] = static_cast<Level>(SplitMix64(i) % 16);
+  }
+  resp.vertices_reached = resp.levels.size();
+  return resp;
+}
+
+void BM_EncodeLevelsResponse(benchmark::State& state) {
+  const server::QueryResponse resp = LevelsResponse();
+  size_t frame_bytes = 0;
+  for (auto _ : state) {
+    std::string frame;  // fresh per response, as the server encodes
+    server::EncodeQueryResponse(resp, &frame);
+    frame_bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               frame_bytes));
+}
+BENCHMARK(BM_EncodeLevelsResponse);
+
+void BM_DecodeLevelsResponse(benchmark::State& state) {
+  std::string frame;
+  server::EncodeQueryResponse(LevelsResponse(), &frame);
+  for (auto _ : state) {
+    server::Response resp;
+    size_t consumed = 0;
+    const server::DecodeStatus status = server::DecodeResponse(
+        frame, server::kMaxResponseBytes, &resp, &consumed);
+    benchmark::DoNotOptimize(status);
+    benchmark::DoNotOptimize(resp.query.levels.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               frame.size()));
+}
+BENCHMARK(BM_DecodeLevelsResponse);
 
 }  // namespace
 }  // namespace pbfs

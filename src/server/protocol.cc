@@ -1,14 +1,25 @@
 #include "server/protocol.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 #include <utility>
+
+#include "util/check.h"
 
 namespace pbfs {
 namespace server {
 namespace {
 
-// ---- Little-endian append helpers ----
+// ---- Little-endian append and read helpers ----
+//
+// The wire is little-endian and so is every supported host (x86_64,
+// aarch64), so a value's wire bytes are its object bytes: scalars and
+// whole arrays are copied with one append or one memcpy, never byte by
+// byte.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies integers in host byte order");
 
 // Unsigned wire representation of an integral or enum type (lazy, so
 // underlying_type is only instantiated for enums).
@@ -23,38 +34,48 @@ struct WireRep<T, std::enable_if_t<std::is_enum_v<T>>> {
 template <typename T>
 using WireUint = std::make_unsigned_t<typename WireRep<T>::type>;
 
-template <typename T>
-void PutInt(std::string* out, T value) {
-  static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
-  const auto v = static_cast<WireUint<T>>(value);
-  for (size_t i = 0; i < sizeof(v); ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
+// Payload bytes of each message up to its first array: request id and
+// kind, then the fixed fields.
+constexpr size_t kHeaderBytes = 8 + 1;
+constexpr size_t kQueryRequestFixedBytes = kHeaderBytes + 1 + 1 + 4 + 4 + 2 + 2;
+constexpr size_t kQueryResponseFixedBytes =
+    kHeaderBytes + 1 + 1 + 1 + 8 + 2 + 2 + 2 + 8;
+// One edge update on the wire: u32 u, u32 v, u8 insert.
+constexpr size_t kUpdateWireBytes = 2 * sizeof(Vertex) + 1;
+constexpr size_t kTraceBlockBytes = 1 + sizeof(uint64_t);
 
-// Reserves the 4-byte length prefix on construction and patches it on
-// Finish, so encoders write the payload straight into the output
-// string with no intermediate copy.
+// Reserves the whole frame and the 4-byte length prefix on
+// construction and patches the prefix on Finish, so encoders write the
+// payload straight into the output string with one allocation.
 class FrameWriter {
  public:
-  explicit FrameWriter(std::string* out) : out_(out), start_(out->size()) {
-    PutInt<uint32_t>(out_, 0);  // placeholder
+  FrameWriter(std::string* out, size_t payload_bytes)
+      : out_(out), start_(out->size()), end_(start_ + 4 + payload_bytes) {
+    out_->reserve(end_);
+    Put<uint32_t>(0);  // placeholder
+  }
+  // Appends `count` unsigned integers in wire order.
+  template <typename U>
+  void PutArray(const U* data, size_t count) {
+    static_assert(std::is_unsigned_v<U>);
+    out_->append(reinterpret_cast<const char*>(data), count * sizeof(U));
   }
   template <typename T>
   void Put(T value) {
-    PutInt(out_, value);
+    static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
+    const auto v = static_cast<WireUint<T>>(value);
+    PutArray(&v, 1);
   }
   void Finish() {
-    const size_t payload = out_->size() - start_ - 4;
-    const auto len = static_cast<uint32_t>(payload);
-    for (size_t i = 0; i < 4; ++i) {
-      (*out_)[start_ + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
-    }
+    PBFS_DCHECK(out_->size() == end_);
+    const auto len = static_cast<uint32_t>(out_->size() - start_ - 4);
+    std::memcpy(out_->data() + start_, &len, sizeof(len));
   }
 
  private:
   std::string* out_;
   size_t start_;
+  size_t end_;
 };
 
 // ---- Bounds-checked little-endian reader over one payload ----
@@ -63,15 +84,21 @@ class PayloadReader {
  public:
   explicit PayloadReader(std::string_view payload) : data_(payload) {}
 
+  // Reads `count` unsigned integers, or nothing (returning false) when
+  // fewer than count * sizeof(U) bytes remain.
+  template <typename U>
+  bool GetArray(U* out, size_t count) {
+    static_assert(std::is_unsigned_v<U>);
+    const size_t bytes = count * sizeof(U);
+    if (remaining() < bytes) return false;
+    if (bytes > 0) std::memcpy(out, data_.data() + pos_, bytes);
+    pos_ += bytes;
+    return true;
+  }
   template <typename T>
   bool Get(T* out) {
-    using U = WireUint<T>;
-    if (data_.size() - pos_ < sizeof(U)) return false;
-    U v = 0;
-    for (size_t i = 0; i < sizeof(U); ++i) {
-      v |= static_cast<U>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += sizeof(U);
+    WireUint<T> v = 0;
+    if (!GetArray(&v, 1)) return false;
     *out = static_cast<T>(v);
     return true;
   }
@@ -91,9 +118,7 @@ DecodeStatus SplitFrame(std::string_view buffer, size_t max_frame_bytes,
                         std::string* error) {
   if (buffer.size() < 4) return DecodeStatus::kNeedMore;
   uint32_t len = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(buffer[i])) << (8 * i);
-  }
+  std::memcpy(&len, buffer.data(), sizeof(len));
   if (len > max_frame_bytes) {
     if (error != nullptr) {
       *error = "frame length " + std::to_string(len) + " exceeds limit " +
@@ -156,7 +181,10 @@ bool operator==(const UpdateRequest& a, const UpdateRequest& b) {
 // ---- Encoders ----
 
 void EncodeQueryRequest(const QueryRequest& msg, std::string* out) {
-  FrameWriter w(out);
+  const bool traced = msg.trace_id != 0;
+  FrameWriter w(out, kQueryRequestFixedBytes + 4 +
+                         msg.targets.size() * sizeof(Vertex) +
+                         (traced ? kTraceBlockBytes : 0));
   w.Put(msg.request_id);
   w.Put(MessageKind::kQuery);
   // QueryType has no fixed underlying type; pin it to its one-byte
@@ -168,8 +196,8 @@ void EncodeQueryRequest(const QueryRequest& msg, std::string* out) {
   w.Put(msg.max_hops);
   w.Put(msg.tolerance);
   w.Put(static_cast<uint32_t>(msg.targets.size()));
-  for (Vertex t : msg.targets) w.Put(t);
-  if (msg.trace_id != 0) {
+  w.PutArray(msg.targets.data(), msg.targets.size());
+  if (traced) {
     w.Put(static_cast<uint8_t>(msg.trace_sampled ? 1 : 0));
     w.Put(msg.trace_id);
   }
@@ -177,7 +205,7 @@ void EncodeQueryRequest(const QueryRequest& msg, std::string* out) {
 }
 
 void EncodeUpdateRequest(const UpdateRequest& msg, std::string* out) {
-  FrameWriter w(out);
+  FrameWriter w(out, kHeaderBytes + 4 + msg.updates.size() * kUpdateWireBytes);
   w.Put(msg.request_id);
   w.Put(MessageKind::kEdgeUpdates);
   w.Put(static_cast<uint32_t>(msg.updates.size()));
@@ -190,7 +218,10 @@ void EncodeUpdateRequest(const UpdateRequest& msg, std::string* out) {
 }
 
 void EncodeQueryResponse(const QueryResponse& msg, std::string* out) {
-  FrameWriter w(out);
+  FrameWriter w(out, kQueryResponseFixedBytes + 4 +
+                         msg.levels.size() * sizeof(Level) + 4 +
+                         msg.reachable.size() + 4 +
+                         msg.khop_sizes.size() * sizeof(uint64_t));
   w.Put(msg.request_id);
   w.Put(MessageKind::kQuery);
   w.Put(static_cast<uint8_t>(msg.type));  // see EncodeQueryRequest
@@ -202,16 +233,16 @@ void EncodeQueryResponse(const QueryResponse& msg, std::string* out) {
   w.Put(msg.bound_upper);
   w.Put(msg.vertices_reached);
   w.Put(static_cast<uint32_t>(msg.levels.size()));
-  for (Level l : msg.levels) w.Put(l);
+  w.PutArray(msg.levels.data(), msg.levels.size());
   w.Put(static_cast<uint32_t>(msg.reachable.size()));
-  for (uint8_t r : msg.reachable) w.Put(r);
+  w.PutArray(msg.reachable.data(), msg.reachable.size());
   w.Put(static_cast<uint32_t>(msg.khop_sizes.size()));
-  for (uint64_t k : msg.khop_sizes) w.Put(k);
+  w.PutArray(msg.khop_sizes.data(), msg.khop_sizes.size());
   w.Finish();
 }
 
 void EncodeUpdateResponse(const UpdateResponse& msg, std::string* out) {
-  FrameWriter w(out);
+  FrameWriter w(out, kHeaderBytes + 8 + 4);
   w.Put(msg.request_id);
   w.Put(MessageKind::kEdgeUpdates);
   w.Put(msg.content_version);
@@ -261,13 +292,12 @@ DecodeStatus DecodeRequest(std::string_view buffer, size_t max_frame_bytes,
       // Frames end either right after the targets (legacy client: the
       // server mints a trace id) or after a 9-byte trace block.
       const size_t targets_bytes = size_t{num_targets} * sizeof(Vertex);
-      constexpr size_t kTraceBlockBytes = 1 + sizeof(uint64_t);
       const bool has_trace = r.remaining() == targets_bytes + kTraceBlockBytes;
       if (!has_trace && r.remaining() != targets_bytes) {
         return Malformed(error, "target count disagrees with frame length");
       }
       q.targets.resize(num_targets);
-      for (uint32_t i = 0; i < num_targets; ++i) r.Get(&q.targets[i]);
+      r.GetArray(q.targets.data(), num_targets);
       if (has_trace) {
         uint8_t sampled = 0;
         r.Get(&sampled);
@@ -284,8 +314,7 @@ DecodeStatus DecodeRequest(std::string_view buffer, size_t max_frame_bytes,
       u.request_id = request_id;
       uint32_t count = 0;
       if (!r.Get(&count)) return Malformed(error, "truncated update count");
-      constexpr size_t kPerUpdate = 2 * sizeof(Vertex) + 1;
-      if (r.remaining() != size_t{count} * kPerUpdate) {
+      if (r.remaining() != size_t{count} * kUpdateWireBytes) {
         return Malformed(error, "update count disagrees with frame length");
       }
       u.updates.resize(count);
@@ -354,17 +383,16 @@ DecodeStatus DecodeResponse(std::string_view buffer, size_t max_frame_bytes,
         return Malformed(error, "level count disagrees with frame length");
       }
       q.levels.resize(num_levels);
-      for (uint32_t i = 0; i < num_levels; ++i) r.Get(&q.levels[i]);
+      r.GetArray(q.levels.data(), num_levels);
       uint32_t num_reachable = 0;
       if (!r.Get(&num_reachable) || r.remaining() < size_t{num_reachable}) {
         return Malformed(error, "reachable count disagrees with frame length");
       }
       q.reachable.resize(num_reachable);
-      for (uint32_t i = 0; i < num_reachable; ++i) {
-        r.Get(&q.reachable[i]);
-        if (q.reachable[i] > 1) {
-          return Malformed(error, "reachable flag not 0/1");
-        }
+      r.GetArray(q.reachable.data(), num_reachable);
+      if (std::any_of(q.reachable.begin(), q.reachable.end(),
+                      [](uint8_t flag) { return flag > 1; })) {
+        return Malformed(error, "reachable flag not 0/1");
       }
       uint32_t num_khop = 0;
       if (!r.Get(&num_khop) ||
@@ -372,7 +400,7 @@ DecodeStatus DecodeResponse(std::string_view buffer, size_t max_frame_bytes,
         return Malformed(error, "khop count disagrees with frame length");
       }
       q.khop_sizes.resize(num_khop);
-      for (uint32_t i = 0; i < num_khop; ++i) r.Get(&q.khop_sizes[i]);
+      r.GetArray(q.khop_sizes.data(), num_khop);
       break;
     }
     case static_cast<uint8_t>(MessageKind::kEdgeUpdates): {

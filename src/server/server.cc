@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "obs/query_trace.h"
 #include "util/check.h"
@@ -125,11 +127,11 @@ obs::QueryOutcome OutcomeFor(QueryStatus status) {
 
 }  // namespace
 
-QueryResponse PbfsServer::MakeResponse(const QueryRequest& req,
-                                       const QueryResult& result) {
+QueryResponse PbfsServer::MakeResponse(uint64_t request_id, QueryType type,
+                                       QueryResult&& result) {
   QueryResponse resp;
-  resp.request_id = req.request_id;
-  resp.type = req.type;
+  resp.request_id = request_id;
+  resp.type = type;
   resp.status = result.status;
   resp.sketch_resolved = result.sketch_resolved;
   resp.snapshot_version = result.snapshot_version;
@@ -137,20 +139,17 @@ QueryResponse PbfsServer::MakeResponse(const QueryRequest& req,
   resp.bound_lower = result.distance_bounds.lower;
   resp.bound_upper = result.distance_bounds.upper;
   resp.vertices_reached = result.vertices_reached;
-  resp.levels = result.levels;
-  resp.reachable = result.reachable;
-  resp.khop_sizes = result.khop_sizes;
+  resp.levels = std::move(result.levels);
+  resp.reachable = std::move(result.reachable);
+  resp.khop_sizes = std::move(result.khop_sizes);
   return resp;
 }
 
-void PbfsServer::QueueQueryResponseLocked(Conn& conn,
-                                          const QueryResponse& resp,
-                                          int64_t now_ns,
-                                          std::vector<Request>* resumed) {
-  std::string encoded;
-  EncodeQueryResponse(resp, &encoded);
+void PbfsServer::QueueFrameLocked(Conn& conn, std::string_view frame,
+                                  int64_t now_ns,
+                                  std::vector<Request>* resumed) {
   ++stats_.frames_tx;
-  conn.session->OnResponseQueued(encoded, now_ns, resumed);
+  conn.session->OnResponseQueued(frame, now_ns, resumed);
 }
 
 void PbfsServer::HandleRequestsLocked(Conn& conn,
@@ -172,10 +171,9 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
         ack.request_id = req.updates.request_id;
         ack.content_version = version;
         ack.num_applied = static_cast<uint32_t>(req.updates.updates.size());
-        std::string encoded;
-        EncodeUpdateResponse(ack, &encoded);
-        ++stats_.frames_tx;
-        conn.session->OnResponseQueued(encoded, now_ns, &next);
+        std::string frame;
+        EncodeUpdateResponse(ack, &frame);
+        QueueFrameLocked(conn, frame, now_ns, &next);
         continue;
       }
       const QueryRequest& q = req.query;
@@ -214,7 +212,9 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
         resp.request_id = q.request_id;
         resp.type = q.type;
         resp.status = QueryStatus::kShed;
-        QueueQueryResponseLocked(conn, resp, now_ns, &next);
+        std::string frame;
+        EncodeQueryResponse(resp, &frame);
+        QueueFrameLocked(conn, frame, now_ns, &next);
         trace_store.SetShedReason(trace_id, r == AdmitResult::kShedQueueFull
                                                 ? "queue_full"
                                                 : "deadline");
@@ -313,17 +313,20 @@ void PbfsServer::CompletionLoop() {
       admission_.OnServiced(static_cast<double>(done_ns - f.submit_ns) *
                             1e-6);
     }
-    QueryRequest echo;
-    echo.request_id = f.request_id;
-    echo.type = f.type;
-    DeliverResponse(f.session_id, MakeResponse(echo, result), f.priority,
-                    f.rx_ns, f.trace_id);
+    DeliverResponse(f.session_id,
+                    MakeResponse(f.request_id, f.type, std::move(result)),
+                    f.priority, f.rx_ns, f.trace_id);
   }
 }
 
 void PbfsServer::DeliverResponse(uint64_t session_id,
                                  const QueryResponse& resp, Priority priority,
                                  int64_t rx_ns, uint64_t trace_id) {
+  // Encoded before taking mu_: the poll thread holds mu_ for its whole
+  // recv/send pass, so a long encode under it would stall I/O on every
+  // connection.
+  std::string frame;
+  EncodeQueryResponse(resp, &frame);
   const int64_t now = NowNanos();
   latency_windows_[static_cast<int>(priority)].Add(
       static_cast<double>(now - rx_ns) * 1e-6, now);
@@ -343,7 +346,7 @@ void PbfsServer::DeliverResponse(uint64_t session_id,
       return;
     }
     std::vector<Request> resumed;
-    QueueQueryResponseLocked(it->second, resp, now, &resumed);
+    QueueFrameLocked(it->second, frame, now, &resumed);
     if (!resumed.empty()) HandleRequestsLocked(it->second, &resumed, now);
   }
   WakePoll();

@@ -21,10 +21,10 @@
 //   completion thread — waits on futures in submission order, feeds
 //                     each query's service time back into the
 //                     admission cost model (OnServiced), encodes the
-//                     response, and queues it on the owning session
-//                     (which may reopen a backpressured window and
-//                     resume decoding — those resumed requests loop
-//                     back through admission).
+//                     response *before* taking mu_, and queues the
+//                     frame on the owning session (which may reopen a
+//                     backpressured window and resume decoding — those
+//                     resumed requests loop back through admission).
 //
 // Backpressure is end to end: a session whose in-flight window is full
 // stops being polled for reads, so a client that outruns the server
@@ -48,6 +48,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -147,12 +148,13 @@ class PbfsServer {
   // reopens.
   void HandleRequestsLocked(Conn& conn, std::vector<Request>* requests,
                             int64_t now_ns);
-  // Requires mu_. Encode + queue one query response on its session.
-  void QueueQueryResponseLocked(Conn& conn, const QueryResponse& resp,
-                                int64_t now_ns,
-                                std::vector<Request>* resumed);
-  // Completion-thread side: find the session and deliver. trace_id
-  // closes the query-trace entry at wire-delivery time (0 = untraced).
+  // Requires mu_. Queue one already-encoded response frame on its
+  // session.
+  void QueueFrameLocked(Conn& conn, std::string_view frame, int64_t now_ns,
+                        std::vector<Request>* resumed);
+  // Completion-thread side: encode (outside mu_), find the session and
+  // deliver. trace_id closes the query-trace entry at wire-delivery
+  // time (0 = untraced).
   void DeliverResponse(uint64_t session_id, const QueryResponse& resp,
                        Priority priority, int64_t rx_ns, uint64_t trace_id);
   void WakePoll();
@@ -162,8 +164,9 @@ class PbfsServer {
   // room at the connection cap. Returns false if nothing was evictable.
   bool EvictLraLocked(int64_t now_ns);
 
-  static QueryResponse MakeResponse(const QueryRequest& req,
-                                    const QueryResult& result);
+  // Moves the result's arrays into the response instead of copying.
+  static QueryResponse MakeResponse(uint64_t request_id, QueryType type,
+                                    QueryResult&& result);
 
   QueryEngine* const engine_;
   const ServerOptions options_;

@@ -74,6 +74,67 @@ TEST(ServerE2eTest, MixedQueriesMatchOracleOverSocket) {
   srv.Stop();
 }
 
+// Full level rows pipelined by three clients at once: the completion
+// thread encodes each 128 KiB frame outside the server mutex while the
+// poll thread sends the other connections' frames. Every row is diffed
+// against the oracle.
+TEST(ServerE2eTest, PipelinedLevelRowsFromThreeClientsMatchOracle) {
+  const uint64_t seed = TrialSeed(8);
+  const std::string note = ReproNote(seed);
+  const Graph graph = ErdosRenyi(Vertex{1} << 16, EdgeIndex{1} << 18, seed);
+  WorkerPool pool({.num_workers = 2, .pin_threads = false});
+  QueryEngine engine(graph, &pool);
+  PbfsServer srv(&engine, {});
+  ASSERT_TRUE(srv.Start());
+
+  constexpr int kClients = 3;
+  constexpr uint64_t kQueriesPerClient = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng(SplitMix64(seed + static_cast<uint64_t>(c)));
+      const uint64_t first_id = static_cast<uint64_t>(c) * 1000;
+      PbfsClient client;
+      ASSERT_TRUE(client.Connect({.port = srv.port()}));
+      std::vector<QueryRequest> sent;
+      std::string pipelined;
+      for (uint64_t q = 0; q < kQueriesPerClient; ++q) {
+        QueryRequest req;
+        req.request_id = first_id + q;
+        req.type = QueryType::kLevels;
+        req.source = static_cast<Vertex>(rng.NextBounded(graph.num_vertices()));
+        EncodeQueryRequest(req, &pipelined);
+        sent.push_back(req);
+      }
+      ASSERT_TRUE(client.Send(pipelined));
+      for (uint64_t q = 0; q < kQueriesPerClient; ++q) {
+        Response resp;
+        std::string error;
+        ASSERT_TRUE(client.ReadResponse(&resp, &error)) << error << " " << note;
+        ASSERT_EQ(resp.kind, MessageKind::kQuery) << note;
+        const QueryResponse& row = resp.query;
+        ASSERT_GE(row.request_id, first_id) << note;
+        ASSERT_LT(row.request_id - first_id, kQueriesPerClient) << note;
+        ASSERT_EQ(row.status, QueryStatus::kOk) << note;
+        ASSERT_EQ(row.levels.size(), graph.num_vertices()) << note;
+        const std::string diff =
+            DiffWireResponse(graph, sent[row.request_id - first_id], row);
+        if (!diff.empty()) {
+          ++mismatches;
+          ADD_FAILURE() << diff << " " << note;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const ServerStats stats = srv.GetStats();
+  EXPECT_EQ(stats.queries_ok, kClients * kQueriesPerClient);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  srv.Stop();
+}
+
 TEST(ServerE2eTest, EdgeUpdatesAckWithContentVersionAndQueriesSeeThem) {
   const uint64_t seed = TrialSeed(2);
   const std::string note = ReproNote(seed);

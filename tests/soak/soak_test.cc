@@ -227,6 +227,9 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
 
   const Graph graph = ErdosRenyi(n, m, seed);
   WorkerPool pool({.num_workers = 4, .pin_threads = false});
+  // Declared before the engine so it outlives it: ~QueryEngine withdraws
+  // its collector from the registry.
+  obs::MetricsRegistry registry;
   QueryEngine engine(graph, &pool);
   PbfsServer srv(&engine, {});
   ASSERT_TRUE(srv.Start()) << note;
@@ -261,7 +264,6 @@ TEST(SoakTest, MixedWorkloadWithChurnMatchesVersionedOracle) {
   }
   trace_store.Configure(trace_opts);
 
-  obs::MetricsRegistry registry;
   engine.ExportLiveMetrics(&registry);
   srv.ExportLiveMetrics(&registry);
   registry.AddCollector(&trace_store, [](obs::ExpositionWriter& writer) {
