@@ -17,6 +17,7 @@
 
 #include "bfs/common.h"
 #include "graph/types.h"
+#include "obs/query_trace.h"
 #include "sketch/bounds.h"
 
 namespace pbfs {
@@ -57,14 +58,13 @@ struct Query {
   // traversal so watchdog and latency telemetry can be exercised
   // end-to-end. 0 (the default) costs nothing.
   double debug_delay_ms = 0;
-  // Distributed-tracing context (obs/query_trace.h). 0 = unassigned;
-  // the server stamps the wire frame's id (or mints one) before
-  // Submit, and the engine mints one for in-process callers. Carried
-  // into QueryResult so callers can correlate answers with retained
-  // span trees.
-  uint64_t trace_id = 0;
-  // True forces span-tree retention regardless of latency.
-  bool trace_sampled = false;
+  // Per-query trace record (obs/query_trace.h), carried by value
+  // through every stage and handed back in QueryResult::trace. Callers
+  // may set trace.trace_id (0 = mint one) and trace.sampled (force
+  // retention). The server fills identity and its boundaries before
+  // Submit; for a record with no kReceived stamp the engine fills
+  // them, and then also closes the record when the query completes.
+  obs::QueryTraceRecord trace;
 };
 
 enum class QueryStatus : uint8_t {
@@ -80,6 +80,8 @@ enum class QueryStatus : uint8_t {
 };
 
 const char* QueryStatusName(QueryStatus status);
+// The trace-store outcome a completion status is recorded as.
+obs::QueryOutcome TraceOutcome(QueryStatus status);
 
 struct QueryResult {
   QueryStatus status = QueryStatus::kOk;
@@ -108,9 +110,10 @@ struct QueryResult {
   // 0 for queries that never reached a traversal (cancelled, expired,
   // invalid, or rejected at shutdown).
   uint64_t snapshot_version = 0;
-  // Echo of Query::trace_id (post-minting), for correlation with the
-  // slow-query log and /debug/trace?trace_id=.
-  uint64_t trace_id = 0;
+  // The query's trace record, with every engine boundary the query
+  // reached stamped. Already finished (delivered, outcome set) when
+  // the engine opened it; otherwise the opener finishes it.
+  obs::QueryTraceRecord trace;
 };
 
 }  // namespace pbfs

@@ -29,30 +29,16 @@ void TraceQueryDone(uint64_t id, pbfs::QueryStatus status) {
   tracer.Record(event);
 }
 
-// Closes an engine-owned per-query trace entry. A no-op for queries
-// the server opened (the server finishes them when the response
-// reaches the wire) — only in-process submitters' entries close here.
-void FinishQueryTrace(uint64_t trace_id, pbfs::QueryStatus status,
-                      int64_t now_ns) {
-  using pbfs::obs::QueryOutcome;
-  QueryOutcome outcome = QueryOutcome::kOk;
-  switch (status) {
-    case pbfs::QueryStatus::kOk:
-      outcome = QueryOutcome::kOk;
-      break;
-    case pbfs::QueryStatus::kDeadlineExceeded:
-      outcome = QueryOutcome::kExpired;
-      break;
-    case pbfs::QueryStatus::kShed:
-      outcome = QueryOutcome::kShed;
-      break;
-    case pbfs::QueryStatus::kInvalid:
-    case pbfs::QueryStatus::kCancelled:
-      outcome = QueryOutcome::kError;
-      break;
+// Hands the query's trace record back in its result. The engine closes
+// only the records it opened (in-process Submit); the server closes a
+// wire query's record once the response is queued.
+void HandBackTrace(const pbfs::obs::QueryTraceRecord& trace, bool owns_trace,
+                   pbfs::QueryResult* result) {
+  result->trace = trace;
+  if (owns_trace) {
+    pbfs::obs::QueryTraceStore::Get().Finish(
+        result->trace, pbfs::TraceOutcome(result->status), pbfs::NowNanos());
   }
-  pbfs::obs::QueryTraceStore::Get().Finish(
-      trace_id, pbfs::obs::TraceOwner::kEngine, outcome, now_ns);
 }
 
 }  // namespace
@@ -89,6 +75,21 @@ const char* QueryStatusName(QueryStatus status) {
       return "shed";
   }
   return "unknown";
+}
+
+obs::QueryOutcome TraceOutcome(QueryStatus status) {
+  switch (status) {
+    case QueryStatus::kOk:
+      return obs::QueryOutcome::kOk;
+    case QueryStatus::kDeadlineExceeded:
+      return obs::QueryOutcome::kExpired;
+    case QueryStatus::kShed:
+      return obs::QueryOutcome::kShed;
+    case QueryStatus::kInvalid:
+    case QueryStatus::kCancelled:
+      break;
+  }
+  return obs::QueryOutcome::kError;
 }
 
 std::string QueryEngineStats::ToString() const {
@@ -193,10 +194,27 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
     event.AddArg("type", static_cast<uint64_t>(query.type));
     obs::Tracer::Get().Record(event);
   }
+  // A record with no kReceived stamp comes from an in-process caller:
+  // the engine opens it here and closes it at completion. A wire
+  // query's record arrives opened by the server, which closes it.
+  const int64_t submit_ns = NowNanos();
+  obs::QueryTraceRecord& trace = query.trace;
+  const bool owns_trace = trace.bound(obs::QueryStageBound::kReceived) == 0;
+  if (owns_trace) {
+    if (trace.trace_id == 0) {
+      trace.trace_id = obs::QueryTraceStore::Get().MintTraceId();
+    }
+    trace.request_id = submission.id;
+    trace.query_type = static_cast<uint8_t>(query.type);
+    trace.priority = 1;  // in-process queries have no wire priority
+    trace.bound(obs::QueryStageBound::kReceived) = submit_ns;
+  }
+  trace.bound(obs::QueryStageBound::kSubmitted) = submit_ns;
   if (stopping_) {
     QueryResult result;
     result.status = QueryStatus::kCancelled;
     ++stats_.queries_cancelled;
+    HandBackTrace(trace, owns_trace, &result);
     promise.set_value(std::move(result));
     TraceQueryDone(submission.id, QueryStatus::kCancelled);
     return submission;
@@ -205,27 +223,10 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
   // makes snapshot versions monotone in queue order, so the dispatcher's
   // same-version batching never splits more than one version boundary.
   SnapshotManager::Ref snapshot = snapshots_.Pin();
-  const int64_t submit_ns = NowNanos();
-  {
-    // In-process submitters reach the engine without a trace context;
-    // mint one and open an engine-owned entry. Wire queries arrive with
-    // the server's id already open — Begin defers to it.
-    obs::QueryTraceStore& trace_store = obs::QueryTraceStore::Get();
-    if (query.trace_id == 0) query.trace_id = trace_store.MintTraceId();
-    obs::QueryTraceStore::BeginInfo info;
-    info.request_id = submission.id;
-    info.query_type = static_cast<uint8_t>(query.type);
-    info.priority = 1;  // in-process queries have no wire priority
-    info.sampled = query.trace_sampled;
-    trace_store.Begin(query.trace_id, obs::TraceOwner::kEngine, info,
-                      submit_ns);
-    trace_store.Stamp(query.trace_id, obs::QueryStageBound::kSubmitted,
-                      submit_ns);
-  }
   Level bound_hint = kMaxLevel;
   if (query.type == QueryType::kPointToPointDistance &&
       rebuilder_ != nullptr && IsValid(query) &&
-      TryAnswerFromSketchLocked(query, snapshot, submission.id, submit_ns,
+      TryAnswerFromSketchLocked(query, owns_trace, snapshot, submission.id,
                                 promise, &bound_hint)) {
     // Answered inline from a fresh sketch: no batch slot, no
     // outstanding_ — the query was never pending.
@@ -233,17 +234,15 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
   }
   ++outstanding_;
   PendingQuery pending{submission.id, std::move(query), std::move(promise),
-                       submit_ns, std::move(snapshot), bound_hint};
+                       std::move(snapshot), bound_hint, owns_trace};
   pending_.push_back(std::move(pending));
   work_cv_.notify_one();
   return submission;
 }
 
 bool QueryEngine::TryAnswerFromSketchLocked(
-    const Query& query, const SnapshotManager::Ref& snapshot, uint64_t id,
-    int64_t submit_ns, std::promise<QueryResult>& promise,
-    Level* bound_hint) {
-  (void)id;
+    Query& query, bool owns_trace, const SnapshotManager::Ref& snapshot,
+    uint64_t id, std::promise<QueryResult>& promise, Level* bound_hint) {
   std::shared_ptr<const ClusterSketch> sketch = rebuilder_->Current();
   if (sketch == nullptr ||
       sketch->content_version() != snapshot->content_version()) {
@@ -275,24 +274,22 @@ bool QueryEngine::TryAnswerFromSketchLocked(
   result.distance_bounds = bounds;
   result.sketch_resolved = true;
   result.snapshot_version = snapshot->content_version();
-  result.trace_id = query.trace_id;
+  obs::QueryTraceRecord& trace = query.trace;
   const int64_t done_ns = NowNanos();
-  const double latency_ms = static_cast<double>(done_ns - submit_ns) / 1e6;
+  const double latency_ms =
+      static_cast<double>(
+          done_ns - trace.bound(obs::QueryStageBound::kSubmitted)) /
+      1e6;
   stats_.latency_ms.Add(latency_ms);
   latency_windows_[static_cast<int>(query.type)].Add(latency_ms, done_ns);
-  {
-    // Inline answer: the sketch stood in for dispatch + kernel, so the
-    // dispatch/kernel boundaries collapse onto the completion instant.
-    obs::QueryTraceStore& trace_store = obs::QueryTraceStore::Get();
-    trace_store.Stamp(query.trace_id, obs::QueryStageBound::kDispatched,
-                      done_ns);
-    trace_store.Stamp(query.trace_id, obs::QueryStageBound::kKernelDone,
-                      done_ns);
-    trace_store.AnnotateSnapshot(query.trace_id, result.snapshot_version);
-  }
+  // Inline answer: the sketch stood in for dispatch + kernel, so the
+  // dispatch/kernel boundaries collapse onto the completion instant.
+  trace.bound(obs::QueryStageBound::kDispatched) = done_ns;
+  trace.bound(obs::QueryStageBound::kKernelDone) = done_ns;
+  trace.snapshot_version = result.snapshot_version;
+  HandBackTrace(trace, owns_trace, &result);
   promise.set_value(std::move(result));
   TraceQueryDone(id, QueryStatus::kOk);
-  FinishQueryTrace(query.trace_id, QueryStatus::kOk, done_ns);
   return true;
 }
 
@@ -409,10 +406,9 @@ void QueryEngine::CompleteLocked(PendingQuery& pending, QueryStatus status) {
       PBFS_CHECK(false);
       break;
   }
-  result.trace_id = pending.query.trace_id;
+  HandBackTrace(pending.query.trace, pending.owns_trace, &result);
   pending.promise.set_value(std::move(result));
   TraceQueryDone(pending.id, status);
-  FinishQueryTrace(pending.query.trace_id, status, NowNanos());
   PBFS_CHECK(outstanding_ > 0);
   --outstanding_;
   done_cv_.notify_all();
@@ -459,7 +455,7 @@ void QueryEngine::DispatcherMain() {
     // InFlightQueries() (the watchdog's admission feed) still sees it.
     executing_.clear();
     for (const PendingQuery& q : batch) {
-      executing_.push_back(InFlightQuery{q.id, q.submit_ns, q.query.type});
+      executing_.push_back(InFlightQuery{q.id, q.submit_ns(), q.query.type});
     }
     lock.unlock();
     const int width = ExecuteBatch(batch);
@@ -478,7 +474,7 @@ void QueryEngine::DispatcherMain() {
     stats_.queries_completed += batch.size();
     for (const PendingQuery& q : batch) {
       const double latency_ms =
-          static_cast<double>(batch_done_ns - q.submit_ns) / 1e6;
+          static_cast<double>(batch_done_ns - q.submit_ns()) / 1e6;
       stats_.latency_ms.Add(latency_ms);
       latency_windows_[static_cast<int>(q.query.type)].Add(latency_ms,
                                                            batch_done_ns);
@@ -525,8 +521,8 @@ std::vector<QueryEngine::PendingQuery> QueryEngine::TakeBatchLocked() {
       CompleteLocked(pending, QueryStatus::kInvalid);
       continue;
     }
-    stats_.coalesce_wait_ms.Add(static_cast<double>(now - pending.submit_ns) /
-                                1e6);
+    stats_.coalesce_wait_ms.Add(
+        static_cast<double>(now - pending.submit_ns()) / 1e6);
     if (batch.empty()) batch_version = pending.snapshot->version();
     batch.push_back(std::move(pending));
   }
@@ -618,17 +614,13 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   // (unreached vertices get kLevelUnreached), so re-zeroing the reused
   // buffer would only add a full memory pass per batch.
   batch_span.AddArg("width", static_cast<uint64_t>(width));
-  {
-    // Every rider crossed the dispatch boundary together; the batch
-    // facts (width, sequence) are what explain a query that was fast
-    // alone but slow sharing a sweep with 63 strangers.
-    obs::QueryTraceStore& trace_store = obs::QueryTraceStore::Get();
-    for (const PendingQuery& q : batch) {
-      trace_store.Stamp(q.query.trace_id,
-                        obs::QueryStageBound::kDispatched, dispatch_ns);
-      trace_store.AnnotateBatch(q.query.trace_id,
-                                static_cast<uint32_t>(width), batch_seq);
-    }
+  // Every rider crossed the dispatch boundary together; the batch
+  // facts (width, sequence) are what explain a query that was fast
+  // alone but slow sharing a sweep with 63 strangers.
+  for (PendingQuery& q : batch) {
+    q.query.trace.bound(obs::QueryStageBound::kDispatched) = dispatch_ns;
+    q.query.trace.batch_width = static_cast<uint32_t>(width);
+    q.query.trace.batch_seq = batch_seq;
   }
   levels_.resize(count * static_cast<size_t>(n));
   runner->ComputeLevels(sources, options, levels_.data());
@@ -637,16 +629,12 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     QueryResult result =
         ExtractResult(batch[i].query, levels_.data() + i * n);
     result.snapshot_version = content_version;
-    result.trace_id = batch[i].query.trace_id;
-    {
-      obs::QueryTraceStore& trace_store = obs::QueryTraceStore::Get();
-      trace_store.Stamp(batch[i].query.trace_id,
-                        obs::QueryStageBound::kKernelDone, kernel_done_ns);
-      trace_store.AnnotateSnapshot(batch[i].query.trace_id, content_version);
-    }
+    obs::QueryTraceRecord& trace = batch[i].query.trace;
+    trace.bound(obs::QueryStageBound::kKernelDone) = kernel_done_ns;
+    trace.snapshot_version = content_version;
+    HandBackTrace(trace, batch[i].owns_trace, &result);
     batch[i].promise.set_value(std::move(result));
     TraceQueryDone(batch[i].id, QueryStatus::kOk);
-    FinishQueryTrace(batch[i].query.trace_id, QueryStatus::kOk, NowNanos());
   }
   return width;
 }
@@ -701,7 +689,7 @@ std::vector<QueryEngine::InFlightQuery> QueryEngine::InFlightQueries() const {
   std::vector<InFlightQuery> in_flight = executing_;
   in_flight.reserve(executing_.size() + pending_.size());
   for (const PendingQuery& q : pending_) {
-    in_flight.push_back(InFlightQuery{q.id, q.submit_ns, q.query.type});
+    in_flight.push_back(InFlightQuery{q.id, q.submit_ns(), q.query.type});
   }
   return in_flight;
 }

@@ -226,7 +226,6 @@ class QueryEngine {
     uint64_t id = 0;
     Query query;
     std::promise<QueryResult> promise;
-    int64_t submit_ns = 0;
     // The snapshot current at admission; the whole batch containing
     // this query traverses it.
     SnapshotManager::Ref snapshot;
@@ -234,6 +233,13 @@ class QueryEngine {
     // at admission caps the traversal radius (kMaxLevel = unbounded —
     // no fresh sketch, or no cluster connecting the pair).
     Level bound_hint = kMaxLevel;
+    // True when Submit opened query.trace (an in-process caller): the
+    // engine then closes the record at completion.
+    bool owns_trace = false;
+
+    int64_t submit_ns() const {
+      return query.trace.bound(obs::QueryStageBound::kSubmitted);
+    }
   };
 
   void DispatcherMain();
@@ -257,12 +263,12 @@ class QueryEngine {
   void EnsureCompactorStarted();
   // The sketch fast path, called by Submit() under mutex_ for valid
   // p2p queries. True when the query was answered inline (promise
-  // fulfilled, counters and latency recorded, never enqueued); false
-  // when it must traverse — *bound_hint then carries the sketch upper
-  // bound when a fresh sketch was consulted.
-  bool TryAnswerFromSketchLocked(const Query& query,
+  // fulfilled, counters, latency and trace recorded, never enqueued);
+  // false when it must traverse — *bound_hint then carries the sketch
+  // upper bound when a fresh sketch was consulted.
+  bool TryAnswerFromSketchLocked(Query& query, bool owns_trace,
                                  const SnapshotManager::Ref& snapshot,
-                                 uint64_t id, int64_t submit_ns,
+                                 uint64_t id,
                                  std::promise<QueryResult>& promise,
                                  Level* bound_hint);
 

@@ -101,10 +101,12 @@ QueryTraceStore& QueryTraceStore::Get() {
   return *store;
 }
 
+QueryTraceStore::QueryTraceStore()
+    : id_seed_(static_cast<uint64_t>(NowNanos()) | 1) {}
+
 void QueryTraceStore::Configure(const Options& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   options_ = options;
-  open_.clear();
   retained_.clear();
   RollingWindow::Options w;
   w.window_ns = options.p99_window_ns > 0 ? options.p99_window_ns
@@ -112,7 +114,7 @@ void QueryTraceStore::Configure(const Options& options) {
   latency_window_ = std::make_unique<RollingWindow>(w);
   for (Exemplar& e : exemplars_) e = Exemplar();
   retained_slow_ = retained_shed_ = retained_expired_ = retained_error_ =
-      retained_sampled_ = discarded_total_ = dropped_total_ = 0;
+      retained_sampled_ = discarded_total_ = 0;
 }
 
 QueryTraceStore::Options QueryTraceStore::options() const {
@@ -121,69 +123,12 @@ QueryTraceStore::Options QueryTraceStore::options() const {
 }
 
 uint64_t QueryTraceStore::MintTraceId() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id_seed_ == 0) id_seed_ = static_cast<uint64_t>(NowNanos()) | 1;
   uint64_t id = 0;
-  while (id == 0) id = Mix64(id_seed_ + ++id_counter_);
-  return id;
-}
-
-bool QueryTraceStore::Begin(uint64_t trace_id, TraceOwner owner,
-                            const BeginInfo& info, int64_t received_ns) {
-  if (trace_id == 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (open_.count(trace_id) != 0) return false;  // earlier layer owns it
-  if (open_.size() >= options_.max_open) {
-    ++dropped_total_;
-    return false;
+  while (id == 0) {
+    id = Mix64(id_seed_ +
+               id_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
-  OpenEntry& entry = open_[trace_id];
-  entry.owner = owner;
-  entry.record.trace_id = trace_id;
-  entry.record.request_id = info.request_id;
-  entry.record.session_id = info.session_id;
-  entry.record.query_type = info.query_type;
-  entry.record.priority = info.priority;
-  entry.record.sampled = info.sampled;
-  entry.record.bounds_ns[0] = received_ns;
-  return true;
-}
-
-void QueryTraceStore::Stamp(uint64_t trace_id, QueryStageBound bound,
-                            int64_t ts_ns) {
-  if (trace_id == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = open_.find(trace_id);
-  if (it == open_.end()) return;
-  int64_t& slot = it->second.record.bounds_ns[static_cast<int>(bound)];
-  if (slot == 0) slot = ts_ns;
-}
-
-void QueryTraceStore::AnnotateBatch(uint64_t trace_id, uint32_t batch_width,
-                                    uint64_t batch_seq) {
-  if (trace_id == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = open_.find(trace_id);
-  if (it == open_.end()) return;
-  it->second.record.batch_width = batch_width;
-  it->second.record.batch_seq = batch_seq;
-}
-
-void QueryTraceStore::AnnotateSnapshot(uint64_t trace_id,
-                                       uint64_t snapshot_version) {
-  if (trace_id == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = open_.find(trace_id);
-  if (it == open_.end()) return;
-  it->second.record.snapshot_version = snapshot_version;
-}
-
-void QueryTraceStore::SetShedReason(uint64_t trace_id, const char* reason) {
-  if (trace_id == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = open_.find(trace_id);
-  if (it == open_.end()) return;
-  it->second.record.shed_reason = reason;
+  return id;
 }
 
 double QueryTraceStore::EffectiveSlowMsLocked(int64_t now_ns) const {
@@ -198,21 +143,12 @@ double QueryTraceStore::EffectiveSlowMsLocked(int64_t now_ns) const {
   return threshold;
 }
 
-void QueryTraceStore::Finish(uint64_t trace_id, TraceOwner owner,
-                             QueryOutcome outcome, int64_t now_ns) {
-  if (trace_id == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = open_.find(trace_id);
-  if (it == open_.end() || it->second.owner != owner) return;
-  QueryTraceRecord record = std::move(it->second.record);
-  open_.erase(it);
-
+void QueryTraceStore::Finish(QueryTraceRecord& record, QueryOutcome outcome,
+                             int64_t now_ns) {
   int64_t* b = record.bounds_ns;
-  if (b[kNumQueryStageBounds - 1] == 0) {
-    b[kNumQueryStageBounds - 1] = now_ns;
-  }
+  b[kNumQueryStageBounds - 1] = now_ns;
   // Forward-fill unreached boundaries (a shed query never passes
-  // kTaken) and clamp cross-thread stamp races so every stage duration
+  // kTaken) and clamp cross-thread clock skew so every stage duration
   // is >= 0 and the durations telescope to exactly delivered-received.
   for (int i = 1; i < kNumQueryStageBounds; ++i) {
     if (b[i] == 0 || b[i] < b[i - 1]) b[i] = b[i - 1];
@@ -220,13 +156,6 @@ void QueryTraceStore::Finish(uint64_t trace_id, TraceOwner owner,
   record.outcome = outcome;
   record.wire_latency_ns = b[kNumQueryStageBounds - 1] - b[0];
   const double latency_ms = static_cast<double>(record.wire_latency_ns) * 1e-6;
-
-  const double threshold = EffectiveSlowMsLocked(now_ns);
-  if (latency_window_ == nullptr) {
-    latency_window_ = std::make_unique<RollingWindow>();
-  }
-  latency_window_->Add(latency_ms, now_ns);
-
   switch (outcome) {
     case QueryOutcome::kShed:
       record.retain_reason = "shed";
@@ -238,21 +167,27 @@ void QueryTraceStore::Finish(uint64_t trace_id, TraceOwner owner,
       record.retain_reason = "error";
       break;
     case QueryOutcome::kOk:
-      if (record.sampled) {
-        record.retain_reason = "sampled";
-      } else if (latency_ms >= threshold) {
-        record.retain_reason = "slow";
-      }
+      record.retain_reason = record.sampled ? "sampled" : "";
       break;
+  }
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  const double threshold = EffectiveSlowMsLocked(now_ns);
+  if (latency_window_ == nullptr) {
+    latency_window_ = std::make_unique<RollingWindow>();
+  }
+  latency_window_->Add(latency_ms, now_ns);
+  if (record.retain_reason[0] == '\0' && latency_ms >= threshold) {
+    record.retain_reason = "slow";
   }
   if (record.retain_reason[0] == '\0') {
     ++discarded_total_;
     return;
   }
-  RetainLocked(std::move(record));
+  RetainLocked(record);
 }
 
-void QueryTraceStore::RetainLocked(QueryTraceRecord&& record) {
+void QueryTraceStore::RetainLocked(const QueryTraceRecord& record) {
   switch (record.outcome) {
     case QueryOutcome::kShed:
       ++retained_shed_;
@@ -278,7 +213,7 @@ void QueryTraceStore::RetainLocked(QueryTraceRecord&& record) {
   }
   if (options_.slowlog_sink) options_.slowlog_sink(record.ToJson());
   if (options_.emit_spans) EmitSpans(record);
-  retained_.push_back(std::move(record));
+  retained_.push_back(record);
   while (retained_.size() > options_.max_retained) retained_.pop_front();
 }
 
@@ -324,7 +259,6 @@ std::string QueryTraceStore::SlowlogJson(uint64_t only_trace_id) const {
 QueryTraceStore::Stats QueryTraceStore::GetStats(int64_t now_ns) const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats stats;
-  stats.open = open_.size();
   stats.retained = retained_.size();
   stats.retained_slow = retained_slow_;
   stats.retained_shed = retained_shed_;
@@ -332,7 +266,6 @@ QueryTraceStore::Stats QueryTraceStore::GetStats(int64_t now_ns) const {
   stats.retained_error = retained_error_;
   stats.retained_sampled = retained_sampled_;
   stats.discarded_total = discarded_total_;
-  stats.dropped_total = dropped_total_;
   const double threshold = EffectiveSlowMsLocked(now_ns);
   stats.effective_slow_ms =
       threshold == std::numeric_limits<double>::infinity() ? 0 : threshold;
@@ -347,9 +280,6 @@ QueryTraceStore::Exemplar QueryTraceStore::exemplar(uint8_t priority) const {
 void QueryTraceStore::CollectMetrics(ExpositionWriter& writer,
                                      int64_t now_ns) const {
   const Stats stats = GetStats(now_ns);
-  writer.BeginFamily("pbfs_query_trace_open",
-                     "Per-query trace entries currently in flight.", "gauge");
-  writer.Sample("pbfs_query_trace_open", {}, static_cast<double>(stats.open));
   writer.BeginFamily("pbfs_query_trace_retained",
                      "Span trees currently held in the bounded flight "
                      "recorder.",
@@ -373,12 +303,6 @@ void QueryTraceStore::CollectMetrics(ExpositionWriter& writer,
                      "counter");
   writer.Sample("pbfs_query_trace_discarded_total", {},
                 static_cast<double>(stats.discarded_total));
-  writer.BeginFamily("pbfs_query_trace_dropped_total",
-                     "Admissions not tracked because the open table was "
-                     "full.",
-                     "counter");
-  writer.Sample("pbfs_query_trace_dropped_total", {},
-                static_cast<double>(stats.dropped_total));
   writer.BeginFamily("pbfs_query_trace_slow_threshold_ms",
                      "Current effective slow-retention threshold (0 = "
                      "disabled).",

@@ -1,47 +1,45 @@
 // Request-scoped tracing with tail-based retention.
 //
-// PR 3's Tracer answers "what did this thread do"; this store answers
-// "why was THIS query slow". Every query admitted anywhere (wire frame
-// or in-process Submit) opens one entry keyed by its trace id and
-// collects boundary timestamps as it crosses the pipeline:
+// The Tracer answers "what did this thread do"; this store answers
+// "why was THIS query slow". Every query (wire frame or in-process
+// Submit) carries one QueryTraceRecord by value (Query::trace, handed
+// back in QueryResult::trace) and each layer writes the boundaries it
+// owns straight into it, one writer per field:
 //
 //   received -> admitted -> taken -> submitted -> dispatched
 //            -> kernel_done -> delivered
 //
-// Stages are defined as the deltas between consecutive boundaries
-// (decode, queue, gate, coalesce, kernel, deliver), so the stage
-// durations telescope: their sum equals the wire-measured latency
-// (delivered - received) by construction, with missing boundaries
-// forward-filled at Finish. That identity is what lets a slowlog line
-// be audited against the latency histogram it is an exemplar for.
+// Stages are the deltas between consecutive boundaries (decode, queue,
+// gate, coalesce, kernel, deliver), so their durations telescope: the
+// sum equals the wire-measured latency (delivered - received) by
+// construction, with missing boundaries forward-filled at Finish. That
+// identity is what lets a slowlog line be audited against the latency
+// histogram it is an exemplar for.
 //
-// Retention is tail-based: every query is recorded while open, but at
-// Finish only the interesting ones — slow (absolute threshold or a
-// multiple of the rolling p99), shed, expired, errored, or explicitly
-// client-sampled — are kept, in a bounded drop-oldest ring. Retained
-// queries also replay their stage spans into the Tracer rings (tagged
-// with a `trace` arg) so /debug/trace?trace_id=N shows one causal tree
-// per query, and emit one JSON slowlog line through an optional sink.
+// The store is touched once per query, at Finish, by the layer that
+// opened the record. Retention is tail-based: only slow (absolute
+// threshold or a multiple of the rolling p99), shed, expired, errored
+// or client-sampled queries are kept, in a bounded drop-oldest ring.
+// Retained queries also replay their stage spans into the Tracer rings
+// (tagged with a `trace` arg) so /debug/trace?trace_id=N shows one
+// causal tree per query, and emit one JSON slowlog line through an
+// optional sink.
 //
-// Threading: one mutex guards the open table and retained ring. The
-// writers are the server poll/submit/completion threads and the engine
-// dispatcher — per-query work, never the per-edge BFS hot path. All
-// entry points take the timestamp from the caller (NowNanos()), so
-// fake-clock tests drive the store deterministically.
-//
-// The store is always on: the server and the engine stamp every query
-// whether or not a trace session is active (the cost is measured in
-// docs/observability.md, "Always-on cost").
+// Threading: one mutex guards the retention state; Finish and the
+// readers take it, MintTraceId is one atomic increment. Timestamps come
+// from the caller (NowNanos()), so fake-clock tests drive the store
+// deterministically. The store is always on, trace session or not (the
+// cost is measured in docs/observability.md, "Always-on cost").
 #ifndef PBFS_OBS_QUERY_TRACE_H_
 #define PBFS_OBS_QUERY_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/live/metrics_registry.h"
@@ -50,23 +48,13 @@
 namespace pbfs {
 namespace obs {
 
-// Per-query trace identity, minted by the first layer that sees the
-// query (wire decode, or engine Submit for in-process callers) or
-// accepted from the client frame. sampled forces retention regardless
-// of latency — a client debugging one request sets it and gets the
-// span tree even when the query is fast.
-struct TraceContext {
-  uint64_t trace_id = 0;  // 0 = none assigned yet
-  bool sampled = false;
-};
-
 // Boundary timestamps. kNumQueryStageBounds-1 stage intervals lie
 // between consecutive boundaries.
 enum class QueryStageBound : uint8_t {
   kReceived = 0,    // frame decoded / Submit entered
   kAdmitted = 1,    // admission queue accepted the ticket
   kTaken = 2,       // submit loop dequeued it
-  kSubmitted = 3,   // engine Submit returned (inflight gate passed)
+  kSubmitted = 3,   // engine Submit admitted it (inflight gate passed)
   kDispatched = 4,  // dispatcher pulled it into a batch
   kKernelDone = 5,  // BFS kernel produced the answer
   kDelivered = 6,   // response queued to the wire / promise fulfilled
@@ -86,14 +74,13 @@ enum class QueryOutcome : uint8_t {
   kError = 3,
 };
 
-// Which layer opened the entry. The server opens entries for wire
-// queries before the engine sees them; the engine opens entries only
-// for queries nobody opened yet (in-process Submit). Finish is a no-op
-// unless the finishing layer matches the opener, so the engine
-// completing a server-owned query cannot close the record before the
-// response reaches the wire.
-enum class TraceOwner : uint8_t { kServer = 0, kEngine = 1 };
-
+// One query's trace, carried by value inside the query (Query::trace)
+// and handed back in its QueryResult. Identity comes from the first
+// layer that sees the query (wire decode, or engine Submit for
+// in-process callers); trace_id is accepted from the client frame or
+// minted. sampled forces retention regardless of latency — a client
+// debugging one request sets it and gets the span tree even when the
+// query is fast. A bound of 0 means "not reached".
 struct QueryTraceRecord {
   uint64_t trace_id = 0;
   uint64_t request_id = 0;
@@ -110,6 +97,12 @@ struct QueryTraceRecord {
   uint64_t batch_seq = 0;    // dispatcher batch sequence number
   uint64_t snapshot_version = 0;
 
+  int64_t& bound(QueryStageBound b) {
+    return bounds_ns[static_cast<int>(b)];
+  }
+  int64_t bound(QueryStageBound b) const {
+    return bounds_ns[static_cast<int>(b)];
+  }
   int64_t StageDurNs(int i) const {
     return bounds_ns[i + 1] - bounds_ns[i];
   }
@@ -120,9 +113,6 @@ struct QueryTraceRecord {
 class QueryTraceStore {
  public:
   struct Options {
-    // Open-entry table cap; admissions beyond it are counted in
-    // dropped_total and not tracked.
-    size_t max_open = 4096;
     // Retained ring cap (drop-oldest).
     size_t max_retained = 256;
     // Absolute slow threshold in milliseconds; <= 0 disables.
@@ -140,16 +130,7 @@ class QueryTraceStore {
     bool emit_spans = true;
   };
 
-  struct BeginInfo {
-    uint64_t request_id = 0;
-    uint64_t session_id = 0;
-    uint8_t query_type = 0;
-    uint8_t priority = 0;
-    bool sampled = false;
-  };
-
   struct Stats {
-    uint64_t open = 0;
     uint64_t retained = 0;  // current ring size
     uint64_t retained_slow = 0;
     uint64_t retained_shed = 0;
@@ -157,8 +138,8 @@ class QueryTraceStore {
     uint64_t retained_error = 0;
     uint64_t retained_sampled = 0;
     uint64_t discarded_total = 0;  // finished fast, nothing kept
-    uint64_t dropped_total = 0;    // open-table overflow
     double effective_slow_ms = 0;  // current retention threshold
+    // Every Finish lands in exactly one of these counters.
     uint64_t retained_total() const {
       return retained_slow + retained_shed + retained_expired +
              retained_error + retained_sampled;
@@ -178,29 +159,15 @@ class QueryTraceStore {
   void Configure(const Options& options);
   Options options() const;
 
-  // Non-zero, unique within the process.
+  // Non-zero, unique within the process. Lock-free.
   uint64_t MintTraceId();
 
-  // Opens an entry. No-op (false) when the id is already open — which
-  // is how the engine defers to a server-owned entry — or the table is
-  // full (counted in dropped_total).
-  bool Begin(uint64_t trace_id, TraceOwner owner, const BeginInfo& info,
-             int64_t received_ns);
-
-  // Records a boundary. First write wins; unknown ids are ignored.
-  void Stamp(uint64_t trace_id, QueryStageBound bound, int64_t ts_ns);
-
-  // Batch/snapshot facts only the dispatcher knows.
-  void AnnotateBatch(uint64_t trace_id, uint32_t batch_width,
-                     uint64_t batch_seq);
-  void AnnotateSnapshot(uint64_t trace_id, uint64_t snapshot_version);
-  void SetShedReason(uint64_t trace_id, const char* reason);
-
-  // Closes the entry (owner must match the opener): stamps kDelivered
-  // if missing, forward-fills gaps, decides retention, feeds the
-  // rolling p99, emits spans + slowlog for retained entries.
-  void Finish(uint64_t trace_id, TraceOwner owner, QueryOutcome outcome,
-              int64_t now_ns);
+  // Closes one query's record, which the caller owns: stamps kDelivered
+  // at now_ns, forward-fills gaps, sets the outcome and wire latency (in
+  // `record`, so the caller sees the finished record), then decides
+  // retention, feeds the rolling p99, and emits spans + slowlog for
+  // retained records. Call exactly once per query.
+  void Finish(QueryTraceRecord& record, QueryOutcome outcome, int64_t now_ns);
 
   // Copy of the retained ring, oldest first.
   std::vector<QueryTraceRecord> Retained() const;
@@ -216,20 +183,17 @@ class QueryTraceStore {
   void CollectMetrics(ExpositionWriter& writer, int64_t now_ns) const;
 
  private:
-  QueryTraceStore() = default;
-
-  struct OpenEntry {
-    QueryTraceRecord record;
-    TraceOwner owner = TraceOwner::kServer;
-  };
+  QueryTraceStore();
 
   double EffectiveSlowMsLocked(int64_t now_ns) const;
-  void RetainLocked(QueryTraceRecord&& record);
+  void RetainLocked(const QueryTraceRecord& record);
   static void EmitSpans(const QueryTraceRecord& record);
+
+  const uint64_t id_seed_;
+  std::atomic<uint64_t> id_counter_{0};
 
   mutable std::mutex mutex_;
   Options options_;
-  std::unordered_map<uint64_t, OpenEntry> open_;
   std::deque<QueryTraceRecord> retained_;
   // Pointer: RollingWindow's const options make it non-assignable, and
   // Configure replaces the window shape.
@@ -241,9 +205,6 @@ class QueryTraceStore {
   uint64_t retained_error_ = 0;
   uint64_t retained_sampled_ = 0;
   uint64_t discarded_total_ = 0;
-  uint64_t dropped_total_ = 0;
-  uint64_t id_counter_ = 0;
-  uint64_t id_seed_ = 0;
 };
 
 }  // namespace obs

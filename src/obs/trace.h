@@ -22,7 +22,7 @@
 // session started, a span or instant costs one relaxed atomic load.
 // Some instrumentation runs regardless of a session: the per-task
 // worker heartbeat, the per-level phase tag, and the per-query
-// QueryTraceStore stamps (see docs/observability.md, "Always-on cost").
+// QueryTraceStore::Finish (see docs/observability.md, "Always-on cost").
 //
 // See docs/observability.md for the event model and exporters.
 #ifndef PBFS_OBS_TRACE_H_

@@ -59,8 +59,9 @@ struct AdmissionTicket {
   Priority priority = Priority::kNormal;
   QueryType type = QueryType::kLevels;
   int64_t deadline_ns = 0;  // absolute (NowNanos domain); 0 = none
-  int64_t rx_ns = 0;        // frame receipt, for latency accounting
-  Query query;              // ready to Submit (deadline_ns already set)
+  // Ready to Submit (deadline_ns already set); query.trace holds the
+  // frame-receipt stamp the latency accounting reads.
+  Query query;
 };
 
 class AdmissionController {

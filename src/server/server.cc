@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/query_trace.h"
@@ -97,7 +98,8 @@ void PbfsServer::WakePoll() {
 
 namespace {
 
-Query BuildQuery(const QueryRequest& req, int64_t deadline_ns) {
+Query BuildQuery(const QueryRequest& req, uint64_t session_id,
+                 int64_t deadline_ns, int64_t now_ns) {
   Query q;
   q.type = req.type;
   q.source = req.source;
@@ -105,24 +107,20 @@ Query BuildQuery(const QueryRequest& req, int64_t deadline_ns) {
   q.tolerance = req.tolerance;
   q.max_hops = req.max_hops;
   q.deadline_ns = deadline_ns;
-  q.trace_id = req.trace_id;
-  q.trace_sampled = req.trace_sampled;
+  // The trace record opens at frame decode and travels with the query;
+  // the server closes it once the response is queued. Client-supplied
+  // ids pass through; legacy frames get a minted one.
+  obs::QueryTraceRecord& trace = q.trace;
+  trace.trace_id = req.trace_id != 0
+                       ? req.trace_id
+                       : obs::QueryTraceStore::Get().MintTraceId();
+  trace.request_id = req.request_id;
+  trace.session_id = session_id;
+  trace.query_type = static_cast<uint8_t>(req.type);
+  trace.priority = static_cast<uint8_t>(req.priority);
+  trace.sampled = req.trace_sampled;
+  trace.bound(obs::QueryStageBound::kReceived) = now_ns;
   return q;
-}
-
-obs::QueryOutcome OutcomeFor(QueryStatus status) {
-  switch (status) {
-    case QueryStatus::kOk:
-      return obs::QueryOutcome::kOk;
-    case QueryStatus::kDeadlineExceeded:
-      return obs::QueryOutcome::kExpired;
-    case QueryStatus::kShed:
-      return obs::QueryOutcome::kShed;
-    case QueryStatus::kInvalid:
-    case QueryStatus::kCancelled:
-      break;
-  }
-  return obs::QueryOutcome::kError;
 }
 
 }  // namespace
@@ -145,11 +143,11 @@ QueryResponse PbfsServer::MakeResponse(uint64_t request_id, QueryType type,
   return resp;
 }
 
-void PbfsServer::QueueFrameLocked(Conn& conn, std::string_view frame,
+void PbfsServer::QueueFrameLocked(Conn& conn, std::string&& frame,
                                   int64_t now_ns,
                                   std::vector<Request>* resumed) {
   ++stats_.frames_tx;
-  conn.session->OnResponseQueued(frame, now_ns, resumed);
+  conn.session->OnResponseQueued(std::move(frame), now_ns, resumed);
 }
 
 void PbfsServer::HandleRequestsLocked(Conn& conn,
@@ -173,7 +171,7 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
         ack.num_applied = static_cast<uint32_t>(req.updates.updates.size());
         std::string frame;
         EncodeUpdateResponse(ack, &frame);
-        QueueFrameLocked(conn, frame, now_ns, &next);
+        QueueFrameLocked(conn, std::move(frame), now_ns, &next);
         continue;
       }
       const QueryRequest& q = req.query;
@@ -187,41 +185,25 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
       ticket.priority = q.priority;
       ticket.type = q.type;
       ticket.deadline_ns = deadline_ns;
-      ticket.rx_ns = now_ns;
-      ticket.query = BuildQuery(q, deadline_ns);
-      // Open the trace entry at frame-decode time (kServer owner): the
-      // engine's own Begin/Finish then defer to it, so the record stays
-      // open until the response hits the wire. Client-supplied ids pass
-      // through; legacy frames get a minted one.
-      obs::QueryTraceStore& trace_store = obs::QueryTraceStore::Get();
-      if (ticket.query.trace_id == 0) {
-        ticket.query.trace_id = trace_store.MintTraceId();
-      }
-      const uint64_t trace_id = ticket.query.trace_id;
-      obs::QueryTraceStore::BeginInfo info;
-      info.request_id = q.request_id;
-      info.session_id = conn.session->id();
-      info.query_type = static_cast<uint8_t>(q.type);
-      info.priority = static_cast<uint8_t>(q.priority);
-      info.sampled = ticket.query.trace_sampled;
-      trace_store.Begin(trace_id, obs::TraceOwner::kServer, info, now_ns);
+      ticket.query = BuildQuery(q, conn.session->id(), deadline_ns, now_ns);
+      // Offer consumes the ticket; a shed query's record closes from
+      // this copy, which never passed admission.
+      obs::QueryTraceRecord trace = ticket.query.trace;
+      ticket.query.trace.bound(obs::QueryStageBound::kAdmitted) = now_ns;
       const AdmitResult r =
           admission_.Offer(std::move(ticket), engine_inflight_.load());
       if (r != AdmitResult::kAdmitted) {
+        trace.shed_reason =
+            r == AdmitResult::kShedQueueFull ? "queue_full" : "deadline";
+        obs::QueryTraceStore::Get().Finish(trace, obs::QueryOutcome::kShed,
+                                           now_ns);
         QueryResponse resp;
         resp.request_id = q.request_id;
         resp.type = q.type;
         resp.status = QueryStatus::kShed;
         std::string frame;
         EncodeQueryResponse(resp, &frame);
-        QueueFrameLocked(conn, frame, now_ns, &next);
-        trace_store.SetShedReason(trace_id, r == AdmitResult::kShedQueueFull
-                                                ? "queue_full"
-                                                : "deadline");
-        trace_store.Finish(trace_id, obs::TraceOwner::kServer,
-                           obs::QueryOutcome::kShed, now_ns);
-      } else {
-        trace_store.Stamp(trace_id, obs::QueryStageBound::kAdmitted, now_ns);
+        QueueFrameLocked(conn, std::move(frame), now_ns, &next);
       }
     }
     work = std::move(next);
@@ -239,10 +221,7 @@ void PbfsServer::SubmitLoop() {
     f.request_id = ticket.request_id;
     f.type = ticket.type;
     f.priority = ticket.priority;
-    f.rx_ns = ticket.rx_ns;
-    f.trace_id = ticket.query.trace_id;
-    obs::QueryTraceStore::Get().Stamp(
-        f.trace_id, obs::QueryStageBound::kTaken, NowNanos());
+    ticket.query.trace.bound(obs::QueryStageBound::kTaken) = NowNanos();
     if (expired) {
       // Missed its deadline while queued: answer without burning a
       // traversal. Routed through the completion queue so delivery
@@ -250,6 +229,7 @@ void PbfsServer::SubmitLoop() {
       std::promise<QueryResult> p;
       QueryResult r;
       r.status = QueryStatus::kDeadlineExceeded;
+      r.trace = ticket.query.trace;
       p.set_value(std::move(r));
       f.future = p.get_future();
     } else {
@@ -259,12 +239,8 @@ void PbfsServer::SubmitLoop() {
           return engine_inflight_.load() < options_.max_engine_inflight;
         });
       }
-      f.submit_ns = NowNanos();
       f.counted_inflight = true;
-      // Stamped before Submit so the engine's own (later) stamp of the
-      // same boundary is the no-op, not this one.
-      obs::QueryTraceStore::Get().Stamp(
-          f.trace_id, obs::QueryStageBound::kSubmitted, f.submit_ns);
+      f.submit_ns = NowNanos();
       QueryEngine::Submission sub = engine_->Submit(std::move(ticket.query));
       f.future = std::move(sub.result);
     }
@@ -313,40 +289,40 @@ void PbfsServer::CompletionLoop() {
       admission_.OnServiced(static_cast<double>(done_ns - f.submit_ns) *
                             1e-6);
     }
-    DeliverResponse(f.session_id,
-                    MakeResponse(f.request_id, f.type, std::move(result)),
-                    f.priority, f.rx_ns, f.trace_id);
+    DeliverResponse(f, std::move(result));
   }
 }
 
-void PbfsServer::DeliverResponse(uint64_t session_id,
-                                 const QueryResponse& resp, Priority priority,
-                                 int64_t rx_ns, uint64_t trace_id) {
+void PbfsServer::DeliverResponse(const InFlight& f, QueryResult&& result) {
+  obs::QueryTraceRecord trace = result.trace;
+  const QueryResponse resp =
+      MakeResponse(f.request_id, f.type, std::move(result));
   // Encoded before taking mu_: the poll thread holds mu_ for its whole
   // recv/send pass, so a long encode under it would stall I/O on every
   // connection.
   std::string frame;
   EncodeQueryResponse(resp, &frame);
   const int64_t now = NowNanos();
-  latency_windows_[static_cast<int>(priority)].Add(
-      static_cast<double>(now - rx_ns) * 1e-6, now);
+  latency_windows_[static_cast<int>(f.priority)].Add(
+      static_cast<double>(now - trace.bound(obs::QueryStageBound::kReceived)) *
+          1e-6,
+      now);
   // Closing here (not at engine completion) makes the record's wire
   // latency span decode through tx-queue — the latency the client saw.
-  obs::QueryTraceStore::Get().Finish(trace_id, obs::TraceOwner::kServer,
-                                     OutcomeFor(resp.status), now);
+  obs::QueryTraceStore::Get().Finish(trace, TraceOutcome(resp.status), now);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (resp.status == QueryStatus::kOk) ++stats_.queries_ok;
     if (resp.status == QueryStatus::kDeadlineExceeded) {
       ++stats_.queries_timed_out;
     }
-    auto it = conns_.find(session_id);
+    auto it = conns_.find(f.session_id);
     if (it == conns_.end()) {
       ++stats_.responses_dropped;
       return;
     }
     std::vector<Request> resumed;
-    QueueFrameLocked(it->second, frame, now, &resumed);
+    QueueFrameLocked(it->second, std::move(frame), now, &resumed);
     if (!resumed.empty()) HandleRequestsLocked(it->second, &resumed, now);
   }
   WakePoll();

@@ -48,7 +48,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -131,9 +130,10 @@ class PbfsServer {
     uint64_t request_id = 0;
     QueryType type = QueryType::kLevels;
     Priority priority = Priority::kNormal;
-    int64_t rx_ns = 0;
+    // Taken just before Submit, so the admission cost model's service
+    // time includes the wait for the engine (the engine's own
+    // kSubmitted stamp comes after it).
     int64_t submit_ns = 0;
-    uint64_t trace_id = 0;
     bool counted_inflight = false;  // true when it holds an engine slot
     std::future<QueryResult> future;
   };
@@ -149,14 +149,12 @@ class PbfsServer {
   void HandleRequestsLocked(Conn& conn, std::vector<Request>* requests,
                             int64_t now_ns);
   // Requires mu_. Queue one already-encoded response frame on its
-  // session.
-  void QueueFrameLocked(Conn& conn, std::string_view frame, int64_t now_ns,
+  // session (moved, not copied, into an empty tx buffer).
+  void QueueFrameLocked(Conn& conn, std::string&& frame, int64_t now_ns,
                         std::vector<Request>* resumed);
-  // Completion-thread side: encode (outside mu_), find the session and
-  // deliver. trace_id closes the query-trace entry at wire-delivery
-  // time (0 = untraced).
-  void DeliverResponse(uint64_t session_id, const QueryResponse& resp,
-                       Priority priority, int64_t rx_ns, uint64_t trace_id);
+  // Completion-thread side: encode (outside mu_), close the query's
+  // trace record at wire-delivery time, find the session and deliver.
+  void DeliverResponse(const InFlight& f, QueryResult&& result);
   void WakePoll();
   // Requires mu_. Close the fd and drop the session.
   void CloseConnLocked(Conn& conn);

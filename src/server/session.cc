@@ -1,5 +1,7 @@
 #include "server/session.h"
 
+#include <utility>
+
 namespace pbfs {
 namespace server {
 namespace {
@@ -249,11 +251,15 @@ bool Session::OnTick(int64_t now_ns) {
   return state_ != SessionState::kClosed;
 }
 
-void Session::OnResponseQueued(std::string_view encoded_frame, int64_t now_ns,
+void Session::OnResponseQueued(std::string&& encoded_frame, int64_t now_ns,
                                std::vector<Request>* resumed) {
   if (state_ == SessionState::kClosed) return;
   last_activity_ns_ = now_ns;
-  tx_.append(encoded_frame);
+  if (tx_.empty()) {
+    tx_ = std::move(encoded_frame);
+  } else {
+    tx_.append(encoded_frame);
+  }
   if (inflight_ > 0) --inflight_;
   Fire(SessionEvent::kResponseQueued, now_ns);
   if (state_ == SessionState::kBackpressured &&

@@ -125,10 +125,12 @@ class Session {
   // ---- Output path ----
 
   // Queue one encoded response frame; releases the window slot of the
-  // request it answers. Reopening the window may resume decoding of
+  // request it answers. The frame is moved into an empty tx buffer and
+  // appended only behind bytes still pending, so the common case copies
+  // nothing. Reopening the window may resume decoding of
   // already-buffered frames — those requests are appended to *resumed
   // (may be null only if the caller knows the window cannot reopen).
-  void OnResponseQueued(std::string_view encoded_frame, int64_t now_ns,
+  void OnResponseQueued(std::string&& encoded_frame, int64_t now_ns,
                         std::vector<Request>* resumed);
 
   // ---- Poll-loop surface ----

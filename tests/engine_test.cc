@@ -23,6 +23,7 @@
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "obs/live/metrics_registry.h"
+#include "obs/query_trace.h"
 #include "obs/trace.h"
 #include "sched/steal_policy.h"
 #include "sched/worker_pool.h"
@@ -435,6 +436,62 @@ TEST(QueryEngineObsTest, LatencyHistogramCountsOkCompletions) {
   EXPECT_GT(stats.latency_ms.max(), 0.0);
   EXPECT_LE(stats.latency_ms.Quantile(0.5), stats.latency_ms.Quantile(0.99));
   EXPECT_NE(stats.ToString().find("latency"), std::string::npos);
+}
+
+// In-process Submit opens the query's trace record itself (no
+// kReceived stamp arrives with it), stamps the engine boundaries into
+// it, and closes it exactly once: the finished record comes back in
+// the result and is the one the store retained.
+TEST(QueryEngineObsTest, InProcessTraceIsEngineStampedAndFinishedOnce) {
+  obs::QueryTraceStore& store = obs::QueryTraceStore::Get();
+  obs::QueryTraceStore::Options trace_opts;
+  trace_opts.slow_ms = 0;  // only sampled/error retain, whatever the timing
+  trace_opts.p99_factor = 0;
+  trace_opts.emit_spans = false;
+  store.Configure(trace_opts);
+  Graph graph = Path(50);
+  WorkerPool pool({.num_workers = 2, .pin_threads = false});
+  QueryEngineOptions options;
+  options.coalesce_wait_ms = 0.0;
+  {
+    QueryEngine engine(graph, &pool, options);
+    Query query;
+    query.trace.sampled = true;
+    QueryEngine::Submission sub = engine.Submit(std::move(query));
+    const QueryResult result = sub.result.get();
+    ASSERT_EQ(result.status, QueryStatus::kOk);
+    const std::vector<obs::QueryTraceRecord> retained = store.Retained();
+    ASSERT_EQ(retained.size(), 1u);
+    const obs::QueryTraceRecord& r = retained[0];
+    EXPECT_NE(r.trace_id, 0u);  // minted by the engine
+    EXPECT_EQ(r.request_id, sub.id);
+    EXPECT_EQ(r.session_id, 0u);
+    EXPECT_STREQ(r.retain_reason, "sampled");
+    EXPECT_EQ(r.batch_width, 1u);  // a lone query rides the single runner
+    EXPECT_EQ(r.snapshot_version, result.snapshot_version);
+    using B = obs::QueryStageBound;
+    EXPECT_GT(r.bound(B::kReceived), 0);
+    EXPECT_EQ(r.bound(B::kSubmitted), r.bound(B::kReceived));
+    EXPECT_GT(r.bound(B::kKernelDone), r.bound(B::kSubmitted));
+    EXPECT_GE(r.bound(B::kDelivered), r.bound(B::kKernelDone));
+    EXPECT_EQ(result.trace.ToJson(), r.ToJson());
+  }
+  {
+    options.coalesce_wait_ms = 2000.0;  // stays queued for the cancel
+    QueryEngine engine(graph, &pool, options);
+    QueryEngine::Submission sub = engine.Submit(Query{});
+    ASSERT_TRUE(engine.Cancel(sub.id));
+    const QueryResult result = sub.result.get();
+    ASSERT_EQ(result.status, QueryStatus::kCancelled);
+    const std::vector<obs::QueryTraceRecord> retained = store.Retained();
+    ASSERT_EQ(retained.size(), 2u);
+    EXPECT_EQ(retained[1].trace_id, result.trace.trace_id);
+    EXPECT_STREQ(retained[1].retain_reason, "error");
+  }
+  // Two queries, two records: one Finish each, nothing else.
+  const obs::QueryTraceStore::Stats stats = store.GetStats(NowNanos());
+  EXPECT_EQ(stats.retained_total() + stats.discarded_total, 2u);
+  store.Configure(obs::QueryTraceStore::Options());  // restore defaults
 }
 
 // ---- Engine behind server-side admission, driven to overload ----

@@ -1,8 +1,9 @@
 // QueryTraceStore invariants (src/obs/query_trace.h).
 //
 // The store's contract has three load-bearing pieces, each pinned here
-// with a fake clock (timestamps are plain int64_t nanoseconds passed
-// into every entry point, the session-FSM pattern, so nothing sleeps):
+// with a fake clock (timestamps are plain int64_t nanoseconds written
+// into the record and passed to Finish, the session-FSM pattern, so
+// nothing sleeps):
 //
 //  1. Telescoping: the six stage durations of any finished record sum
 //     to exactly its wire latency, no matter which boundaries were
@@ -11,14 +12,15 @@
 //     always kept, ok queries only when they cross the effective slow
 //     threshold (absolute, or rolling-p99-relative once the window has
 //     enough samples); everything else is discarded and counted.
-//  3. Ownership: the layer that opened an entry is the only one that
-//     can close it, so the engine finishing a server-owned query cannot
-//     truncate the record before the response reaches the wire.
+//  3. One call per query: the record travels with the query and the
+//     store sees it exactly once, at Finish, which also hands the
+//     finished record back to the caller.
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,7 +34,6 @@ using obs::QueryOutcome;
 using obs::QueryStageBound;
 using obs::QueryTraceRecord;
 using obs::QueryTraceStore;
-using obs::TraceOwner;
 
 constexpr int64_t kMs = 1000000;
 
@@ -44,21 +45,27 @@ QueryTraceStore::Options BaseOptions() {
   return o;
 }
 
+// A record as the first layer opens it: identity plus kReceived.
+QueryTraceRecord Received(uint64_t id, int64_t received_ns) {
+  QueryTraceRecord r;
+  r.trace_id = id;
+  r.request_id = id;
+  r.bound(QueryStageBound::kReceived) = received_ns;
+  return r;
+}
+
 // One query through the whole lifecycle: received at start_ns, every
 // boundary stamped at even spacing, finished at start_ns + latency_ns.
 void RunQuery(QueryTraceStore& store, uint64_t id, int64_t start_ns,
               int64_t latency_ns, QueryOutcome outcome, bool sampled = false,
               uint8_t priority = 0) {
-  QueryTraceStore::BeginInfo info;
-  info.request_id = id;
-  info.sampled = sampled;
-  info.priority = priority;
-  ASSERT_TRUE(store.Begin(id, TraceOwner::kServer, info, start_ns));
+  QueryTraceRecord r = Received(id, start_ns);
+  r.sampled = sampled;
+  r.priority = priority;
   for (int b = 1; b < obs::kNumQueryStageBounds - 1; ++b) {
-    store.Stamp(id, static_cast<QueryStageBound>(b),
-                start_ns + latency_ns * b / obs::kNumQueryStageBounds);
+    r.bounds_ns[b] = start_ns + latency_ns * b / obs::kNumQueryStageBounds;
   }
-  store.Finish(id, TraceOwner::kServer, outcome, start_ns + latency_ns);
+  store.Finish(r, outcome, start_ns + latency_ns);
 }
 
 int64_t StageSumNs(const QueryTraceRecord& r) {
@@ -67,15 +74,31 @@ int64_t StageSumNs(const QueryTraceRecord& r) {
   return sum;
 }
 
+// Minting is one atomic increment, so concurrent minters (the poll
+// thread and in-process submitters) never hand out the same id.
 TEST(QueryTraceTest, MintedIdsAreNonZeroAndUnique) {
   QueryTraceStore& store = QueryTraceStore::Get();
   store.Configure(BaseOptions());
-  std::set<uint64_t> seen;
-  for (int i = 0; i < 10000; ++i) {
-    const uint64_t id = store.MintTraceId();
-    ASSERT_NE(id, 0u);
-    ASSERT_TRUE(seen.insert(id).second) << "duplicate id " << id;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2500;
+  std::vector<std::vector<uint64_t>> minted(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, &minted, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        minted[t].push_back(store.MintTraceId());
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
+  std::set<uint64_t> seen;
+  for (const std::vector<uint64_t>& ids : minted) {
+    for (const uint64_t id : ids) {
+      ASSERT_NE(id, 0u);
+      ASSERT_TRUE(seen.insert(id).second) << "duplicate id " << id;
+    }
+  }
+  EXPECT_EQ(seen.size(), static_cast<size_t>(kThreads * kPerThread));
 }
 
 // The core identity: stage durations telescope to the wire latency by
@@ -87,17 +110,16 @@ TEST(QueryTraceTest, StageDurationsTelescopeToWireLatency) {
   // Fully stamped.
   RunQuery(store, 1, 10 * kMs, 500 * kMs, QueryOutcome::kOk);
   // Only received: a query shed at the door.
-  QueryTraceStore::BeginInfo info;
-  ASSERT_TRUE(store.Begin(2, TraceOwner::kServer, info, 20 * kMs));
-  store.Finish(2, TraceOwner::kServer, QueryOutcome::kShed, 25 * kMs);
+  QueryTraceRecord shed = Received(2, 20 * kMs);
+  store.Finish(shed, QueryOutcome::kShed, 25 * kMs);
   // Raced stamps: a later boundary recorded an earlier timestamp than
   // its predecessor (cross-thread clock skew) must clamp, not go
   // negative.
-  ASSERT_TRUE(store.Begin(3, TraceOwner::kServer, info, 30 * kMs));
-  store.Stamp(3, QueryStageBound::kAdmitted, 400 * kMs);
-  store.Stamp(3, QueryStageBound::kTaken, 395 * kMs);  // behind kAdmitted
-  store.Stamp(3, QueryStageBound::kKernelDone, 600 * kMs);
-  store.Finish(3, TraceOwner::kServer, QueryOutcome::kOk, 650 * kMs);
+  QueryTraceRecord raced = Received(3, 30 * kMs);
+  raced.bound(QueryStageBound::kAdmitted) = 400 * kMs;
+  raced.bound(QueryStageBound::kTaken) = 395 * kMs;  // behind kAdmitted
+  raced.bound(QueryStageBound::kKernelDone) = 600 * kMs;
+  store.Finish(raced, QueryOutcome::kOk, 650 * kMs);
 
   const std::vector<QueryTraceRecord> retained = store.Retained();
   ASSERT_EQ(retained.size(), 3u);
@@ -112,24 +134,11 @@ TEST(QueryTraceTest, StageDurationsTelescopeToWireLatency) {
   // via forward-fill.
   EXPECT_EQ(retained[1].wire_latency_ns, 5 * kMs);
   EXPECT_EQ(retained[1].StageDurNs(obs::kNumQueryStageSpans - 1), 5 * kMs);
-}
-
-// Boundary stamps are first-write-wins: the server stamping kSubmitted
-// just before calling the engine makes the engine's own (later) stamp
-// of the same boundary the no-op.
-TEST(QueryTraceTest, StampFirstWriteWins) {
-  QueryTraceStore& store = QueryTraceStore::Get();
-  store.Configure(BaseOptions());
-  QueryTraceStore::BeginInfo info;
-  ASSERT_TRUE(store.Begin(7, TraceOwner::kServer, info, 0));
-  store.Stamp(7, QueryStageBound::kSubmitted, 10 * kMs);
-  store.Stamp(7, QueryStageBound::kSubmitted, 99 * kMs);  // ignored
-  store.Finish(7, TraceOwner::kServer, QueryOutcome::kOk, 200 * kMs);
-  const std::vector<QueryTraceRecord> retained = store.Retained();
-  ASSERT_EQ(retained.size(), 1u);
-  EXPECT_EQ(
-      retained[0].bounds_ns[static_cast<int>(QueryStageBound::kSubmitted)],
-      10 * kMs);
+  // Finish finalized the caller's record in place, identically to the
+  // retained copy.
+  EXPECT_EQ(raced.bound(QueryStageBound::kTaken), 400 * kMs);  // clamped
+  EXPECT_EQ(raced.wire_latency_ns, 620 * kMs);
+  EXPECT_EQ(raced.ToJson(), retained[2].ToJson());
 }
 
 TEST(QueryTraceTest, TailRetentionKeepsOnlyInterestingQueries) {
@@ -159,7 +168,8 @@ TEST(QueryTraceTest, TailRetentionKeepsOnlyInterestingQueries) {
   EXPECT_EQ(stats.retained_error, 1u);
   EXPECT_EQ(stats.retained_sampled, 1u);
   EXPECT_EQ(stats.retained_total(), 5u);
-  EXPECT_EQ(stats.open, 0u);
+  // Every Finish lands in exactly one counter.
+  EXPECT_EQ(stats.retained_total() + stats.discarded_total, 6u);
 }
 
 // The p99-relative trigger stays dormant until the rolling window holds
@@ -192,25 +202,6 @@ TEST(QueryTraceTest, RelativeThresholdActivatesAfterMinSamples) {
   EXPECT_STREQ(store.Retained()[0].retain_reason, "slow");
 }
 
-TEST(QueryTraceTest, FinishRequiresMatchingOwner) {
-  QueryTraceStore& store = QueryTraceStore::Get();
-  store.Configure(BaseOptions());
-  QueryTraceStore::BeginInfo info;
-  ASSERT_TRUE(store.Begin(9, TraceOwner::kServer, info, 0));
-  // The engine cannot open the same id again...
-  EXPECT_FALSE(store.Begin(9, TraceOwner::kEngine, info, 1 * kMs));
-  // ...nor close the server-owned entry.
-  store.Finish(9, TraceOwner::kEngine, QueryOutcome::kOk, 500 * kMs);
-  EXPECT_EQ(store.GetStats(0).open, 1u);
-  // The owner can.
-  store.Finish(9, TraceOwner::kServer, QueryOutcome::kOk, 500 * kMs);
-  EXPECT_EQ(store.GetStats(0).open, 0u);
-  ASSERT_EQ(store.Retained().size(), 1u);
-  // Double-finish is a no-op, not a duplicate record.
-  store.Finish(9, TraceOwner::kServer, QueryOutcome::kOk, 600 * kMs);
-  EXPECT_EQ(store.Retained().size(), 1u);
-}
-
 TEST(QueryTraceTest, RetainedRingDropsOldest) {
   QueryTraceStore& store = QueryTraceStore::Get();
   QueryTraceStore::Options o = BaseOptions();
@@ -228,20 +219,6 @@ TEST(QueryTraceTest, RetainedRingDropsOldest) {
   EXPECT_EQ(store.GetStats(0).retained_slow, 10u);
 }
 
-TEST(QueryTraceTest, OpenTableCapCountsDrops) {
-  QueryTraceStore& store = QueryTraceStore::Get();
-  QueryTraceStore::Options o = BaseOptions();
-  o.max_open = 2;
-  store.Configure(o);
-  QueryTraceStore::BeginInfo info;
-  EXPECT_TRUE(store.Begin(1, TraceOwner::kServer, info, 0));
-  EXPECT_TRUE(store.Begin(2, TraceOwner::kServer, info, 0));
-  EXPECT_FALSE(store.Begin(3, TraceOwner::kServer, info, 0));
-  const QueryTraceStore::Stats stats = store.GetStats(0);
-  EXPECT_EQ(stats.open, 2u);
-  EXPECT_EQ(stats.dropped_total, 1u);
-}
-
 TEST(QueryTraceTest, SlowlogJsonShapeAndFilter) {
   QueryTraceStore& store = QueryTraceStore::Get();
   QueryTraceStore::Options o = BaseOptions();
@@ -251,12 +228,11 @@ TEST(QueryTraceTest, SlowlogJsonShapeAndFilter) {
   };
   store.Configure(o);
 
-  QueryTraceStore::BeginInfo info;
-  info.request_id = 42;
-  info.session_id = 5;
-  ASSERT_TRUE(store.Begin(11, TraceOwner::kServer, info, 0));
-  store.SetShedReason(11, "queue_full");
-  store.Finish(11, TraceOwner::kServer, QueryOutcome::kShed, 3 * kMs);
+  QueryTraceRecord shed = Received(11, 0);
+  shed.request_id = 42;
+  shed.session_id = 5;
+  shed.shed_reason = "queue_full";
+  store.Finish(shed, QueryOutcome::kShed, 3 * kMs);
   RunQuery(store, 12, 0, 500 * kMs, QueryOutcome::kOk);
 
   ASSERT_EQ(sink_lines.size(), 2u);
@@ -299,13 +275,11 @@ TEST(QueryTraceTest, ConfigureClearsAllState) {
   QueryTraceStore& store = QueryTraceStore::Get();
   store.Configure(BaseOptions());
   RunQuery(store, 31, 0, 500 * kMs, QueryOutcome::kOk);
-  QueryTraceStore::BeginInfo info;
-  ASSERT_TRUE(store.Begin(32, TraceOwner::kServer, info, 0));
+  RunQuery(store, 32, 0, 1 * kMs, QueryOutcome::kOk);
   ASSERT_EQ(store.Retained().size(), 1u);
 
   store.Configure(BaseOptions());
   const QueryTraceStore::Stats stats = store.GetStats(0);
-  EXPECT_EQ(stats.open, 0u);
   EXPECT_EQ(stats.retained, 0u);
   EXPECT_EQ(stats.retained_total(), 0u);
   EXPECT_EQ(stats.discarded_total, 0u);

@@ -389,7 +389,8 @@ TEST(ServerE2eTest, ConnectionCapEvictsLeastRecentlyActive) {
 // A client-supplied trace context survives the whole pipeline: the
 // sampled query's span tree lands in the flight recorder under the
 // client's id, with the record's stage durations telescoping to its
-// wire latency and carrying the snapshot it actually ran on.
+// wire latency, every server and engine boundary stamped in order, and
+// the snapshot it actually ran on.
 TEST(ServerE2eTest, ClientTraceIdFlowsToRetainedRecord) {
   obs::QueryTraceStore& store = obs::QueryTraceStore::Get();
   obs::QueryTraceStore::Options trace_opts;
@@ -436,6 +437,13 @@ TEST(ServerE2eTest, ClientTraceIdFlowsToRetainedRecord) {
   EXPECT_EQ(r.outcome, obs::QueryOutcome::kOk);
   EXPECT_EQ(r.snapshot_version, resp.snapshot_version);
   EXPECT_GT(r.wire_latency_ns, 0);
+  EXPECT_EQ(r.batch_width, 1u);
+  for (int b = 1; b < obs::kNumQueryStageBounds; ++b) {
+    EXPECT_GE(r.bounds_ns[b], r.bounds_ns[b - 1]) << "bound " << b;
+  }
+  using B = obs::QueryStageBound;
+  EXPECT_GT(r.bound(B::kSubmitted), r.bound(B::kReceived));
+  EXPECT_GT(r.bound(B::kKernelDone), r.bound(B::kSubmitted));
   int64_t stage_sum = 0;
   for (int i = 0; i < obs::kNumQueryStageSpans; ++i) {
     EXPECT_GE(r.StageDurNs(i), 0) << "stage " << i;
@@ -453,7 +461,51 @@ TEST(ServerE2eTest, ClientTraceIdFlowsToRetainedRecord) {
   }
   EXPECT_EQ(store.Retained().size(), 1u);
   EXPECT_GE(store.GetStats(0).discarded_total, 1u);
+  // Two wire calls, two finished records: the server closes each wire
+  // record once, and the engine never closes a record it did not open.
   srv.Stop();
+  const obs::QueryTraceStore::Stats stats = store.GetStats(0);
+  EXPECT_EQ(stats.retained_total() + stats.discarded_total, 2u);
+  store.Configure(obs::QueryTraceStore::Options());  // restore defaults
+}
+
+// A query shed at admission never reaches the engine: the poll thread
+// closes its record on the spot, with the admission reason, and the
+// client's id and session identity intact.
+TEST(ServerE2eTest, ShedQueryRecordIsClosedAtAdmission) {
+  obs::QueryTraceStore& store = obs::QueryTraceStore::Get();
+  store.Configure({.emit_spans = false});
+  const Graph graph = ErdosRenyi(128, 512, 7);
+  WorkerPool pool({.num_workers = 2, .pin_threads = false});
+  QueryEngine engine(graph, &pool);
+  ServerOptions opts;
+  opts.admission.max_queue = 0;  // every query sheds as queue_full
+  PbfsServer srv(&engine, opts);
+  ASSERT_TRUE(srv.Start());
+  PbfsClient client;
+  ASSERT_TRUE(client.Connect({.port = srv.port()}));
+  QueryRequest req;
+  req.request_id = 5;
+  req.trace_id = 0x5EDull;
+  QueryResponse resp;
+  std::string error;
+  ASSERT_TRUE(client.Call(req, &resp, &error)) << error;
+  EXPECT_EQ(resp.status, QueryStatus::kShed);
+  srv.Stop();
+
+  const std::vector<obs::QueryTraceRecord> retained = store.Retained();
+  ASSERT_EQ(retained.size(), 1u);
+  const obs::QueryTraceRecord& r = retained[0];
+  EXPECT_EQ(r.trace_id, 0x5EDull);
+  EXPECT_EQ(r.request_id, 5u);
+  EXPECT_NE(r.session_id, 0u);
+  EXPECT_EQ(r.outcome, obs::QueryOutcome::kShed);
+  EXPECT_STREQ(r.retain_reason, "shed");
+  EXPECT_STREQ(r.shed_reason, "queue_full");
+  EXPECT_EQ(r.batch_width, 0u);  // never dispatched
+  EXPECT_EQ(engine.Stats().queries_admitted, 0u);
+  const obs::QueryTraceStore::Stats stats = store.GetStats(0);
+  EXPECT_EQ(stats.retained_total() + stats.discarded_total, 1u);
   store.Configure(obs::QueryTraceStore::Options());  // restore defaults
 }
 

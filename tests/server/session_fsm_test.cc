@@ -99,9 +99,8 @@ TEST(SessionFsmTest, IdleTimeoutAppliesOnceWindowEmpties) {
   ASSERT_TRUE(s.OnBytes(QueryFrame(1), 0, &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(s.OnTick(400 * kMs));  // inflight > 0: no idle close
-  std::string resp = "resp";
   std::vector<Request> resumed;
-  s.OnResponseQueued(resp, 400 * kMs, &resumed);
+  s.OnResponseQueued("resp", 400 * kMs, &resumed);
   EXPECT_EQ(s.inflight(), 0u);
   // Window empty again; idle timer runs from kAwaitFrame entry (t=0,
   // the state never changed), so it fires on the next tick.
@@ -146,6 +145,45 @@ TEST(SessionFsmTest, WindowFullPausesReadsAndResumesAtLowWater) {
   EXPECT_EQ(s.inflight(), 0u);
   EXPECT_EQ(s.state(), SessionState::kAwaitFrame);
   EXPECT_TRUE(s.WantRead());
+}
+
+// A response queued on an empty tx buffer is moved in; one queued while
+// bytes are still pending is appended behind them. Both paths must put
+// the same bytes on the wire in the same order.
+TEST(SessionFsmTest, MovedAndAppendedFramesDeliverIdenticalTx) {
+  std::string frames[3];
+  std::string requests;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    QueryResponse resp;
+    resp.request_id = id;
+    resp.levels.assign(100 * id, static_cast<Level>(id));
+    EncodeQueryResponse(resp, &frames[id - 1]);
+    requests += QueryFrame(id);
+  }
+  std::vector<Request> out;
+  std::vector<Request> resumed;
+  // Pending path: no send between responses, so frames 2 and 3 are
+  // appended behind frame 1.
+  Session appended(1, SmallTimeouts(), 0);
+  ASSERT_TRUE(appended.OnBytes(requests, 0, &out));
+  for (const std::string& frame : frames) {
+    appended.OnResponseQueued(std::string(frame), 1 * kMs, &resumed);
+  }
+  EXPECT_EQ(appended.Tx(), frames[0] + frames[1] + frames[2]);
+  // Empty path: the socket takes everything between responses, so
+  // each frame is moved into an empty buffer.
+  Session moved(2, SmallTimeouts(), 0);
+  ASSERT_TRUE(moved.OnBytes(requests, 0, &out));
+  std::string wire;
+  for (const std::string& frame : frames) {
+    moved.OnResponseQueued(std::string(frame), 1 * kMs, &resumed);
+    EXPECT_EQ(moved.Tx(), frame);
+    wire += moved.Tx();
+    moved.ConsumeTx(moved.Tx().size(), 2 * kMs);
+  }
+  EXPECT_EQ(wire, appended.Tx());
+  EXPECT_EQ(moved.inflight(), 0u);
+  EXPECT_EQ(appended.inflight(), 0u);
 }
 
 TEST(SessionFsmTest, BackpressureTimeoutCloses) {
