@@ -322,7 +322,9 @@ int main(int argc, char** argv) {
     std::printf("injecting one slow query (%.0f ms)\n", inject_slow_query_ms);
     auto sub = engine.Submit(std::move(slow));
     submitted.fetch_add(1, std::memory_order_relaxed);
-    sub.result.get();
+    if (sub.result.get().status == pbfs::QueryStatus::kOk) {
+      ok.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   for (std::thread& t : client_threads) t.join();

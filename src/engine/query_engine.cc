@@ -17,6 +17,10 @@
 
 namespace {
 
+// Workers in the compactor's private pool, created lazily by the first
+// ApplyUpdates.
+constexpr int kCompactorWorkers = 2;
+
 // Terminal instant for one query. Exactly one is emitted per admitted
 // query — the obs engine test counts them against queries_admitted.
 void TraceQueryDone(uint64_t id, pbfs::QueryStatus status) {
@@ -177,7 +181,6 @@ QueryEngine::~QueryEngine() {
     std::lock_guard<std::mutex> lock(compactor_mu_);
     compactor_.reset();
     compactor_pool_.reset();
-    compactor_serial_.reset();
   }
 }
 
@@ -327,17 +330,10 @@ Compactor::Stats QueryEngine::CompactorStats() const {
 void QueryEngine::EnsureCompactorStarted() {
   std::lock_guard<std::mutex> lock(compactor_mu_);
   if (compactor_ != nullptr) return;
-  Executor* exec;
-  if (options_.compactor_workers > 1) {
-    compactor_pool_ = std::make_unique<WorkerPool>(WorkerPool::Options{
-        .num_workers = options_.compactor_workers, .pin_threads = false});
-    exec = compactor_pool_.get();
-  } else {
-    compactor_serial_ = std::make_unique<SerialExecutor>();
-    exec = compactor_serial_.get();
-  }
+  compactor_pool_ = std::make_unique<WorkerPool>(WorkerPool::Options{
+      .num_workers = kCompactorWorkers, .pin_threads = false});
   compactor_ = std::make_unique<Compactor>(
-      &snapshots_, exec,
+      &snapshots_, compactor_pool_.get(),
       CompactorOptions{.debug_delay_ms = options_.compactor_debug_delay_ms});
 }
 

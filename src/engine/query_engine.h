@@ -76,9 +76,6 @@ struct QueryEngineOptions {
   // let a batch fill before launching it partially occupied. The
   // latency/occupancy trade-off knob: 0 dispatches immediately.
   double coalesce_wait_ms = 0.25;
-  // Workers in the compactor's private pool (created lazily on the
-  // first ApplyUpdates); <= 1 compacts on a SerialExecutor instead.
-  int compactor_workers = 2;
   // Fault injection forwarded to CompactorOptions::debug_delay_ms.
   double compactor_debug_delay_ms = 0;
   // Cluster-BFS distance sketches (sketch/sketch.h): when enabled, a
@@ -288,7 +285,6 @@ class QueryEngine {
   // (mutable: stats surfaces read the pointers under it).
   mutable std::mutex compactor_mu_;
   std::unique_ptr<WorkerPool> compactor_pool_;
-  std::unique_ptr<SerialExecutor> compactor_serial_;
   std::unique_ptr<Compactor> compactor_;
 
   // Sketch machinery, created in the constructor when

@@ -86,6 +86,7 @@ void ExpositionWriter::BeginFamily(const std::string& name,
                                    const std::string& help,
                                    const char* type) {
   PBFS_CHECK(IsValidMetricName(name));
+  PBFS_CHECK(families_.insert(name).second);
   text_ += "# HELP " + name + " " + EscapeHelp(help) + "\n";
   text_ += "# TYPE " + name + " ";
   text_ += type;
@@ -138,44 +139,6 @@ void ExpositionWriter::HistogramSamples(const std::string& name,
   Sample(name + "_count", labels, static_cast<double>(hist.count()));
 }
 
-MetricsRegistry::Counter* MetricsRegistry::AddCounter(
-    const std::string& name, const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CheckNewNameLocked(name);
-  counters_.emplace_back();  // in place: Counter's atomic pins it
-  counters_.back().name = name;
-  counters_.back().help = help;
-  return &counters_.back().counter;
-}
-
-MetricsRegistry::Gauge* MetricsRegistry::AddGauge(const std::string& name,
-                                                  const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CheckNewNameLocked(name);
-  gauges_.emplace_back();
-  gauges_.back().name = name;
-  gauges_.back().help = help;
-  return &gauges_.back().gauge;
-}
-
-void MetricsRegistry::AddCallbackGauge(const std::string& name,
-                                       const std::string& help,
-                                       std::function<double()> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CheckNewNameLocked(name);
-  callback_gauges_.push_back(CallbackGauge{name, help, std::move(fn)});
-}
-
-MetricsRegistry::LiveHistogram* MetricsRegistry::AddHistogram(
-    const std::string& name, const std::string& help, double min_bound,
-    double growth, int num_log_buckets) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CheckNewNameLocked(name);
-  histograms_.emplace_back(name, help,
-                           Histogram(min_bound, growth, num_log_buckets));
-  return &histograms_.back().hist;
-}
-
 void MetricsRegistry::AddCollector(const void* owner, Collector fn) {
   std::lock_guard<std::mutex> lock(mutex_);
   collectors_.push_back(OwnedCollector{owner, std::move(fn)});
@@ -191,14 +154,6 @@ void MetricsRegistry::RemoveCollectors(const void* owner) {
       collectors_.end());
 }
 
-void MetricsRegistry::CheckNewNameLocked(const std::string& name) const {
-  PBFS_CHECK(IsValidMetricName(name));
-  for (const NamedCounter& c : counters_) PBFS_CHECK(c.name != name);
-  for (const NamedGauge& g : gauges_) PBFS_CHECK(g.name != name);
-  for (const CallbackGauge& g : callback_gauges_) PBFS_CHECK(g.name != name);
-  for (const NamedHistogram& h : histograms_) PBFS_CHECK(h.name != name);
-}
-
 std::string MetricsRegistry::ExpositionText() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++scrapes_;
@@ -206,22 +161,6 @@ std::string MetricsRegistry::ExpositionText() {
   writer.BeginFamily("pbfs_scrapes_total",
                      "Number of /metrics expositions rendered.", "counter");
   writer.Sample("pbfs_scrapes_total", {}, static_cast<double>(scrapes_));
-  for (const NamedCounter& c : counters_) {
-    writer.BeginFamily(c.name, c.help, "counter");
-    writer.Sample(c.name, {}, static_cast<double>(c.counter.value()));
-  }
-  for (const NamedGauge& g : gauges_) {
-    writer.BeginFamily(g.name, g.help, "gauge");
-    writer.Sample(g.name, {}, g.gauge.value());
-  }
-  for (const CallbackGauge& g : callback_gauges_) {
-    writer.BeginFamily(g.name, g.help, "gauge");
-    writer.Sample(g.name, {}, g.fn());
-  }
-  for (const NamedHistogram& h : histograms_) {
-    writer.BeginFamily(h.name, h.help, "histogram");
-    writer.HistogramSamples(h.name, {}, h.hist.Snapshot());
-  }
   for (const OwnedCollector& c : collectors_) c.fn(writer);
   return writer.text();
 }

@@ -1,29 +1,29 @@
 // Live metric registry + Prometheus text exposition (format 0.0.4).
 //
-// Holds named counters, gauges, and log-bucketed histograms with
-// process lifetime, plus pull-time collectors for subsystems whose
-// state cannot be mirrored into a passive metric (the query engine's
-// rolling-window quantiles, worker heartbeats). ExpositionText() walks
-// everything and renders the text format Prometheus scrapes:
+// Every family on /metrics comes from a collector: a scrape-time
+// callback its owning subsystem registers (the query engine's rolling
+// windows, the server's counters, worker heartbeats, the watchdog's
+// report counts). The subsystem keeps its own state under its own
+// synchronization and renders it on demand, so the registry holds no
+// metric values of its own beyond the built-in pbfs_scrapes_total.
+// ExpositionText() runs every collector and renders the text format
+// Prometheus scrapes:
 //
 //   # HELP pbfs_engine_queue_depth Queries awaiting dispatch.
 //   # TYPE pbfs_engine_queue_depth gauge
 //   pbfs_engine_queue_depth 3
 //
-// Counters and gauges are single atomics so instrumented code can
-// update them from any thread without taking the registry lock; the
-// lock only guards registration and scrape-time iteration. Collectors
-// run under the registry lock at scrape time and must not call back
-// into the registry.
+// Collectors run under the registry lock at scrape time and must not
+// call back into the registry. A family name begun twice in one scrape
+// (two collectors, or one collector twice) fails a check.
 #ifndef PBFS_OBS_LIVE_METRICS_REGISTRY_H_
 #define PBFS_OBS_LIVE_METRICS_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -42,7 +42,8 @@ using MetricLabel = std::pair<std::string, std::string>;
 class ExpositionWriter {
  public:
   // Emits the # HELP / # TYPE header for a family. `type` is one of
-  // "counter", "gauge", "histogram", "summary", "untyped".
+  // "counter", "gauge", "histogram", "summary", "untyped". Checks that
+  // `name` is valid and not yet begun on this writer.
   void BeginFamily(const std::string& name, const std::string& help,
                    const char* type);
 
@@ -74,6 +75,7 @@ class ExpositionWriter {
 
  private:
   std::string text_;
+  std::unordered_set<std::string> families_;
 };
 
 // True iff `name` matches the Prometheus metric-name grammar
@@ -82,52 +84,6 @@ bool IsValidMetricName(const std::string& name);
 
 class MetricsRegistry {
  public:
-  // Monotonically increasing counter. Lock-free updates.
-  class Counter {
-   public:
-    void Increment(uint64_t n = 1) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    }
-    uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
-   private:
-    friend class MetricsRegistry;
-    std::atomic<uint64_t> value_{0};
-  };
-
-  // Settable point-in-time value. Lock-free updates.
-  class Gauge {
-   public:
-    void Set(double value) {
-      value_.store(value, std::memory_order_relaxed);
-    }
-    double value() const { return value_.load(std::memory_order_relaxed); }
-
-   private:
-    friend class MetricsRegistry;
-    std::atomic<double> value_{0};
-  };
-
-  // Log-bucketed histogram exposed in the Prometheus histogram format.
-  // Observe() takes a mutex (scrape-path metric, not BFS-hot-path).
-  class LiveHistogram {
-   public:
-    void Observe(double value) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      hist_.Add(value);
-    }
-    Histogram Snapshot() const {
-      std::lock_guard<std::mutex> lock(mutex_);
-      return hist_;
-    }
-
-   private:
-    friend class MetricsRegistry;
-    explicit LiveHistogram(Histogram hist) : hist_(std::move(hist)) {}
-    mutable std::mutex mutex_;
-    Histogram hist_;
-  };
-
   // Scrape-time callback appending whole families to the writer.
   using Collector = std::function<void(ExpositionWriter&)>;
 
@@ -135,58 +91,22 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Registration. Names must be unique and valid; handles stay owned
-  // by the registry and valid for its lifetime.
-  Counter* AddCounter(const std::string& name, const std::string& help);
-  Gauge* AddGauge(const std::string& name, const std::string& help);
-  // Gauge whose value is computed at scrape time.
-  void AddCallbackGauge(const std::string& name, const std::string& help,
-                        std::function<double()> fn);
-  LiveHistogram* AddHistogram(const std::string& name, const std::string& help,
-                              double min_bound = 1e-3, double growth = 2.0,
-                              int num_log_buckets = 32);
-
   // Collectors are tagged with an owner so a subsystem with a shorter
   // lifetime than the registry can withdraw its families on teardown.
   void AddCollector(const void* owner, Collector fn);
   void RemoveCollectors(const void* owner);
 
-  // Renders every registered metric and collector. Thread-safe; also
-  // bumps the built-in pbfs_scrapes_total counter.
+  // Renders pbfs_scrapes_total and every collector. Thread-safe; bumps
+  // pbfs_scrapes_total, so the count includes this exposition.
   std::string ExpositionText();
 
  private:
-  struct NamedCounter {
-    std::string name, help;
-    Counter counter;
-  };
-  struct NamedGauge {
-    std::string name, help;
-    Gauge gauge;
-  };
-  struct CallbackGauge {
-    std::string name, help;
-    std::function<double()> fn;
-  };
-  struct NamedHistogram {
-    std::string name, help;
-    LiveHistogram hist;
-    NamedHistogram(std::string n, std::string h, Histogram shape)
-        : name(std::move(n)), help(std::move(h)), hist(std::move(shape)) {}
-  };
   struct OwnedCollector {
     const void* owner;
     Collector fn;
   };
 
-  void CheckNewNameLocked(const std::string& name) const;
-
-  mutable std::mutex mutex_;
-  // deques: handles handed out must never move on later registration.
-  std::deque<NamedCounter> counters_;
-  std::deque<NamedGauge> gauges_;
-  std::deque<CallbackGauge> callback_gauges_;
-  std::deque<NamedHistogram> histograms_;
+  std::mutex mutex_;
   std::vector<OwnedCollector> collectors_;
   uint64_t scrapes_ = 0;
 };

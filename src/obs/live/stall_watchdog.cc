@@ -19,17 +19,24 @@ namespace obs {
 StallWatchdog::StallWatchdog(const Options& options) : options_(options) {
   PBFS_CHECK(options_.poll_interval_ms > 0);
   clock_ = options_.now_ns ? options_.now_ns : [] { return NowNanos(); };
-  if (options_.registry != nullptr) {
-    stall_counter_ = options_.registry->AddCounter(
-        "pbfs_watchdog_stall_reports_total",
-        "Worker-stall anomaly reports emitted by the watchdog.");
-    slow_query_counter_ = options_.registry->AddCounter(
-        "pbfs_watchdog_slow_query_reports_total",
-        "Slow-query anomaly reports emitted by the watchdog.");
-    dump_counter_ = options_.registry->AddCounter(
-        "pbfs_watchdog_flightrec_dumps_total",
-        "Flight-recorder trace dumps written on anomaly.");
-  }
+  if (options_.registry == nullptr) return;
+  options_.registry->AddCollector(this, [this](ExpositionWriter& writer) {
+    const Stats s = stats();
+    auto counter = [&writer](const char* name, const char* help,
+                             uint64_t value) {
+      writer.BeginFamily(name, help, "counter");
+      writer.Sample(name, {}, static_cast<double>(value));
+    };
+    counter("pbfs_watchdog_stall_reports_total",
+            "Worker-stall anomaly reports emitted by the watchdog.",
+            s.stall_reports);
+    counter("pbfs_watchdog_slow_query_reports_total",
+            "Slow-query anomaly reports emitted by the watchdog.",
+            s.slow_query_reports);
+    counter("pbfs_watchdog_flightrec_dumps_total",
+            "Flight-recorder trace dumps written on anomaly.",
+            s.dumps_written);
+  });
 }
 
 StallWatchdog::~StallWatchdog() { Stop(); }
@@ -53,6 +60,7 @@ void StallWatchdog::Start() {
 }
 
 void StallWatchdog::Stop() {
+  if (options_.registry != nullptr) options_.registry->RemoveCollectors(this);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!started_) return;
@@ -81,7 +89,10 @@ void StallWatchdog::PollThread() {
 void StallWatchdog::PollOnce() {
   std::lock_guard<std::mutex> lock(mutex_);
   const int64_t now = clock_();
-  ++stats_.polls;
+  {
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    ++stats_.polls;
+  }
   RefreshProfileBaseline(now);
   const int64_t stall_ns =
       static_cast<int64_t>(options_.worker_stall_ms * 1e6);
@@ -170,22 +181,20 @@ void StallWatchdog::Report(int category, const std::string& line,
                            int64_t now) {
   const int64_t cooldown_ns =
       static_cast<int64_t>(options_.report_cooldown_ms * 1e6);
-  if (last_report_ns_[category] != 0 &&
-      now - last_report_ns_[category] < cooldown_ns) {
-    ++stats_.reports_suppressed;
-    return;
+  const bool suppressed = last_report_ns_[category] != 0 &&
+                          now - last_report_ns_[category] < cooldown_ns;
+  {
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    if (suppressed) {
+      ++stats_.reports_suppressed;
+      return;
+    }
+    stats_.last_report = line;
+    ++(category == 0 ? stats_.stall_reports : stats_.slow_query_reports);
   }
   last_report_ns_[category] = now;
-  stats_.last_report = line;
-  if (category == 0) {
-    ++stats_.stall_reports;
-    if (stall_counter_ != nullptr) stall_counter_->Increment();
-    std::fprintf(stderr, "[watchdog] stall: %s\n", line.c_str());
-  } else {
-    ++stats_.slow_query_reports;
-    if (slow_query_counter_ != nullptr) slow_query_counter_->Increment();
-    std::fprintf(stderr, "[watchdog] slow-query: %s\n", line.c_str());
-  }
+  std::fprintf(stderr, "[watchdog] %s: %s\n",
+               category == 0 ? "stall" : "slow-query", line.c_str());
   DumpFlightRecorder(now);
   DumpEpisodeProfile(now);
 }
@@ -202,9 +211,11 @@ void StallWatchdog::DumpFlightRecorder(int64_t now) {
   const std::string path = options_.dump_dir + "/flightrec_" +
                            std::to_string(now) + ".trace.json";
   if (WriteChromeTraceFile(dump, path)) {
-    ++stats_.dumps_written;
-    stats_.last_dump_path = path;
-    if (dump_counter_ != nullptr) dump_counter_->Increment();
+    {
+      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+      ++stats_.dumps_written;
+      stats_.last_dump_path = path;
+    }
     std::fprintf(stderr,
                  "[watchdog] flight recorder: %llu events from %zu threads "
                  "-> %s\n",
@@ -236,8 +247,11 @@ void StallWatchdog::DumpEpisodeProfile(int64_t now) {
   Symbolizer symbolizer;
   out << FoldedProfileText(delta, &symbolizer);
   out.close();
-  ++stats_.profiles_written;
-  stats_.last_profile_path = path;
+  {
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    ++stats_.profiles_written;
+    stats_.last_profile_path = path;
+  }
   std::fprintf(stderr,
                "[watchdog] episode profile: %llu samples over ~%.1f s -> "
                "%s\n",
@@ -246,7 +260,7 @@ void StallWatchdog::DumpEpisodeProfile(int64_t now) {
 }
 
 StallWatchdog::Stats StallWatchdog::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;
 }
 

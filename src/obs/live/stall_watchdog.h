@@ -16,11 +16,11 @@
 //    slow_query_ms is reported before it completes, with enough
 //    identity (id, type, age) to find it in the trace.
 //
-// A report is one anomaly event: one stderr line, one counter
-// increment, and one flight-recorder dump — the live Tracer rings
-// snapshotted (Tracer::Snapshot(), the session keeps running) and
-// written as a timestamped Chrome trace covering the window before the
-// anomaly. When the sampling profiler is running, each report also
+// A report is one anomaly event: one stderr line, one count in Stats
+// (exported as pbfs_watchdog_* counters), and one flight-recorder dump
+// — the live Tracer rings snapshotted (Tracer::Snapshot(), the session
+// keeps running) and written as a timestamped Chrome trace covering
+// the window before the anomaly. When the sampling profiler is running, each report also
 // writes an episode profile next to the trace dump: the poll loop
 // keeps a rolling profile baseline about one second old, and the dump
 // is the folded-stack delta since that baseline — roughly the last
@@ -70,7 +70,8 @@ class StallWatchdog {
     double report_cooldown_ms = 10000;
     // Where flight-recorder dumps land; empty disables dumping.
     std::string dump_dir = ".";
-    // Counters registered as pbfs_watchdog_* when set.
+    // When set, the constructor registers a collector rendering the
+    // pbfs_watchdog_* counters from stats(); Stop() withdraws it.
     MetricsRegistry* registry = nullptr;
     // Test clock; defaults to NowNanos().
     std::function<int64_t()> now_ns;
@@ -114,7 +115,10 @@ class StallWatchdog {
   void WatchAdmissions(AdmissionSource source);
 
   // Starts / stops the polling thread. Start is idempotent; Stop joins
-  // and is also run by the destructor.
+  // and is also run by the destructor. Stop also withdraws the
+  // pbfs_watchdog_* families from the registry, first and outside
+  // mutex_ (lock order: registry, then stats_mutex_), so the watchdog
+  // can die while scrapes continue.
   void Start();
   void Stop();
 
@@ -134,7 +138,7 @@ class StallWatchdog {
   };
 
   void PollThread();
-  // Emits one report (log + counter + dump) unless the category is in
+  // Emits one report (log + count + dump) unless the category is in
   // cooldown. Category: 0 = worker stall, 1 = slow query.
   void Report(int category, const std::string& line, int64_t now);
   void DumpFlightRecorder(int64_t now);
@@ -146,7 +150,7 @@ class StallWatchdog {
   const Options options_;
   std::function<int64_t()> clock_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable stop_cv_;
   bool stopping_ = false;
   bool started_ = false;
@@ -161,10 +165,11 @@ class StallWatchdog {
   ProfileCounts profile_baseline_;
   int64_t profile_baseline_ns_ = 0;
 
+  // A leaf lock held only to bump or copy stats_, never across a
+  // dump or a source call: a scrape reads the counts through it, and
+  // must not wait behind a flight-recorder dump written under mutex_.
+  mutable std::mutex stats_mutex_;
   Stats stats_;
-  MetricsRegistry::Counter* stall_counter_ = nullptr;
-  MetricsRegistry::Counter* slow_query_counter_ = nullptr;
-  MetricsRegistry::Counter* dump_counter_ = nullptr;
 };
 
 }  // namespace obs

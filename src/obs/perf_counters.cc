@@ -3,16 +3,15 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+#include <string>
 
 #ifdef __linux__
-#include <linux/perf_event.h>
 #include <sys/ioctl.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 #endif
+
+#include "obs/perf_event.h"
 
 namespace pbfs {
 namespace obs {
@@ -31,17 +30,8 @@ std::atomic<bool> g_backend_available{false};
 std::atomic<uint64_t> g_enable_generation{0};
 char g_reason[256] = "profiling not enabled";
 
-void SetReason(const char* fmt, int err) {
-  if (err != 0) {
-    std::snprintf(g_reason, sizeof(g_reason), fmt, std::strerror(err));
-  } else {
-    std::snprintf(g_reason, sizeof(g_reason), "%s", fmt);
-  }
-}
-
-bool DisabledByEnv() {
-  const char* env = std::getenv("PBFS_PERF_DISABLE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
+void SetReason(const std::string& reason) {
+  std::snprintf(g_reason, sizeof(g_reason), "%s", reason.c_str());
 }
 
 #ifdef __linux__
@@ -93,24 +83,16 @@ bool FallbackSpec(int id, EventSpec* spec) {
 }
 
 int OpenEvent(const EventSpec& spec, bool leader, int group_fd) {
-  perf_event_attr attr;
-  std::memset(&attr, 0, sizeof(attr));
-  attr.size = sizeof(attr);
+  perf_event_attr attr{};
   attr.type = spec.type;
   attr.config = spec.config;
   // The leader starts disabled and the whole group is enabled with one
   // ioctl once every member has joined, so all counters cover the same
   // interval.
   attr.disabled = leader ? 1 : 0;
-  // Self-monitoring without kernel/hypervisor events works up to
-  // perf_event_paranoid=2, the default on most distros.
-  attr.exclude_kernel = 1;
-  attr.exclude_hv = 1;
   attr.read_format = PERF_FORMAT_GROUP | PERF_FORMAT_TOTAL_TIME_ENABLED |
                      PERF_FORMAT_TOTAL_TIME_RUNNING;
-  return static_cast<int>(syscall(SYS_perf_event_open, &attr, /*pid=*/0,
-                                  /*cpu=*/-1, group_fd,
-                                  PERF_FLAG_FD_CLOEXEC));
+  return PerfEventOpen(attr, /*tid=*/0, group_fd);
 }
 
 // One counter group per thread, opened lazily on the thread's first
@@ -192,27 +174,12 @@ thread_local ThreadGroup t_group;
 // calling thread? Distinguishes "backend down" from "this PMU lacks
 // event X" once, at Enable() time.
 bool ProbeBackend() {
-  perf_event_attr attr;
-  std::memset(&attr, 0, sizeof(attr));
-  attr.size = sizeof(attr);
+  perf_event_attr attr{};
   attr.type = PERF_TYPE_HARDWARE;
   attr.config = PERF_COUNT_HW_CPU_CYCLES;
-  attr.exclude_kernel = 1;
-  attr.exclude_hv = 1;
-  const int fd = static_cast<int>(syscall(SYS_perf_event_open, &attr,
-                                          /*pid=*/0, /*cpu=*/-1,
-                                          /*group_fd=*/-1,
-                                          PERF_FLAG_FD_CLOEXEC));
+  const int fd = PerfEventOpen(attr, /*tid=*/0, /*group_fd=*/-1);
   if (fd < 0) {
-    const int err = errno;
-    if (err == EACCES || err == EPERM) {
-      SetReason(
-          "perf_event_open denied: %s (kernel.perf_event_paranoid too "
-          "strict or missing CAP_PERFMON)",
-          err);
-    } else {
-      SetReason("perf_event_open failed: %s", err);
-    }
+    SetReason(PerfOpenErrorText(errno));
     return false;
   }
   uint64_t value = 0;
@@ -220,7 +187,7 @@ bool ProbeBackend() {
                         static_cast<ssize_t>(sizeof(value));
   close(fd);
   if (!readable) {
-    SetReason("perf counter opened but could not be read", 0);
+    SetReason("perf counter opened but could not be read");
     return false;
   }
   return true;
@@ -236,14 +203,14 @@ bool PerfCounters::Enable() {
   std::lock_guard<std::mutex> lock(g_enable_mutex);
   g_enable_generation.fetch_add(1, std::memory_order_relaxed);
   bool available = false;
-  if (DisabledByEnv()) {
-    SetReason("disabled by PBFS_PERF_DISABLE", 0);
+  if (PerfDisabledByEnv()) {
+    SetReason("disabled by PBFS_PERF_DISABLE");
   } else {
 #ifdef __linux__
     available = ProbeBackend();
     if (available) g_reason[0] = '\0';
 #else
-    SetReason("perf_event_open is Linux-only", 0);
+    SetReason("perf_event_open is Linux-only");
 #endif
   }
   g_backend_available.store(available, std::memory_order_release);
@@ -257,7 +224,7 @@ void PerfCounters::Disable() {
   std::lock_guard<std::mutex> lock(g_enable_mutex);
   g_enabled.store(false, std::memory_order_release);
   g_backend_available.store(false, std::memory_order_release);
-  SetReason("profiling not enabled", 0);
+  SetReason("profiling not enabled");
 }
 
 bool PerfCounters::enabled() {

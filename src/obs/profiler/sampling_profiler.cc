@@ -1,7 +1,6 @@
 #include "obs/profiler/sampling_profiler.h"
 
 #include <fcntl.h>
-#include <linux/perf_event.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/ioctl.h>
@@ -25,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/perf_event.h"
 #include "obs/profiler/phase_tag.h"
 
 namespace pbfs {
@@ -254,11 +254,6 @@ std::mutex g_agg_mu;
 std::condition_variable g_agg_cv;
 bool g_agg_stop = false;
 
-bool EnvSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 void SetReason(const char* fmt, const char* detail) {
   std::snprintf(g_reason, sizeof(g_reason), fmt, detail);
 }
@@ -281,19 +276,14 @@ void InstallHandler() {
 }
 
 int OpenPerfSampler(pid_t tid, int sample_hz) {
-  perf_event_attr attr;
-  std::memset(&attr, 0, sizeof(attr));
-  attr.size = sizeof(attr);
+  perf_event_attr attr{};
   attr.type = PERF_TYPE_SOFTWARE;
   attr.config = PERF_COUNT_SW_TASK_CLOCK;  // ns of this thread's CPU time
   attr.sample_period = 1000000000ull / static_cast<uint64_t>(sample_hz);
   attr.sample_type = PERF_SAMPLE_IP;
   attr.disabled = 1;
-  attr.exclude_kernel = 1;
-  attr.exclude_hv = 1;
   attr.wakeup_events = 1;
-  return static_cast<int>(
-      syscall(SYS_perf_event_open, &attr, tid, -1, -1, 0));
+  return PerfEventOpen(attr, tid, /*group_fd=*/-1);
 }
 
 // Caller holds g_registry_mu (or is in Start with the lifecycle lock
@@ -435,7 +425,7 @@ bool SamplingProfiler::Start(const Options& options) {
   }
   if (g_running.load(std::memory_order_relaxed)) return true;
 
-  if (EnvSet("PBFS_PROFILER_DISABLE")) {
+  if (EnvFlagSet("PBFS_PROFILER_DISABLE")) {
     g_backend = Backend::kNone;
     SetReason("disabled by %s=1 in the environment", "PBFS_PROFILER_DISABLE");
     return false;
@@ -463,17 +453,15 @@ bool SamplingProfiler::Start(const Options& options) {
   RegisterCurrentThread();
 
   g_backend = Backend::kNone;
-  if (!EnvSet("PBFS_PERF_DISABLE")) {
+  if (!PerfDisabledByEnv()) {
     // Probe: open a sampler for this thread; on success, arm every
-    // registered ring (late registrants arm themselves).
-    const int probe = OpenPerfSampler(static_cast<pid_t>(syscall(SYS_gettid)),
-                                      g_options.sample_hz);
+    // registered ring (late registrants arm themselves). On failure the
+    // SIGPROF fallback below either starts (no reason to report) or
+    // sets its own reason.
+    const int probe = OpenPerfSampler(/*tid=*/0, g_options.sample_hz);
     if (probe >= 0) {
       close(probe);
       g_backend = Backend::kPerfRings;
-    } else {
-      SetReason("perf_event_open denied (%s); falling back to SIGPROF",
-                std::strerror(errno));
     }
   }
   if (g_backend == Backend::kPerfRings) {

@@ -32,7 +32,8 @@
 // < 2% on the engine throughput bench.
 //
 // Degradation contract (mirrors PerfCounters):
-//  * PBFS_PERF_DISABLE=1   — skip the perf-ring backend, use SIGPROF.
+//  * PBFS_PERF_DISABLE=1   — skip the perf-ring backend, use SIGPROF
+//    (parsed once for the counters and the sampler, obs/perf_event.h).
 //  * PBFS_PROFILER_DISABLE=1 — no backend at all; Start() returns false
 //    and unavailable_reason() sticks, so exporters emit an explicit
 //    `profiler_unavailable` marker instead of silently thinning.

@@ -1,5 +1,7 @@
 #include "server/admission.h"
 
+#include "util/check.h"
+
 namespace pbfs {
 namespace server {
 
@@ -23,44 +25,44 @@ AdmissionController::AdmissionController(const Options& options)
       }()),
       cost_ewma_ms_(options.initial_cost_ms) {}
 
-double AdmissionController::EstimatedWaitMs(
-    Priority priority, size_t downstream_inflight) const {
-  std::lock_guard<std::mutex> lock(mu_);
+double AdmissionController::WaitMsLocked(int priority,
+                                         size_t downstream_inflight) const {
   size_t ahead = downstream_inflight;
-  for (int p = 0; p <= static_cast<int>(priority); ++p) {
-    ahead += queues_[p].size();
-  }
+  for (int p = 0; p <= priority; ++p) ahead += queues_[p].size();
   return static_cast<double>(ahead + 1) * cost_ewma_ms_;
 }
 
-AdmitResult AdmissionController::Offer(AdmissionTicket ticket,
+double AdmissionController::EstimatedWaitMs(
+    Priority priority, size_t downstream_inflight) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return WaitMsLocked(static_cast<int>(priority), downstream_inflight);
+}
+
+AdmitResult AdmissionController::Offer(Query query,
                                        size_t downstream_inflight) {
+  const int priority = query.trace.priority;
+  PBFS_CHECK(priority < kNumPriorities);
   std::lock_guard<std::mutex> lock(mu_);
   if (stopped_ || depth_ >= options_.max_queue) {
     ++stats_.shed_queue_full;
     return AdmitResult::kShedQueueFull;
   }
-  if (ticket.deadline_ns != 0) {
-    size_t ahead = downstream_inflight;
-    for (int p = 0; p <= static_cast<int>(ticket.priority); ++p) {
-      ahead += queues_[p].size();
-    }
-    const double wait_ms = static_cast<double>(ahead + 1) * cost_ewma_ms_;
+  if (query.deadline_ns != 0) {
     const double remaining_ms =
-        static_cast<double>(ticket.deadline_ns - options_.now_ns()) * 1e-6;
-    if (wait_ms > remaining_ms) {
+        static_cast<double>(query.deadline_ns - options_.now_ns()) * 1e-6;
+    if (WaitMsLocked(priority, downstream_inflight) > remaining_ms) {
       ++stats_.shed_deadline;
       return AdmitResult::kShedDeadline;
     }
   }
-  queues_[static_cast<int>(ticket.priority)].push_back(std::move(ticket));
+  queues_[priority].push_back(std::move(query));
   ++depth_;
   ++stats_.admitted;
   cv_.notify_one();
   return AdmitResult::kAdmitted;
 }
 
-bool AdmissionController::TakeLocked(AdmissionTicket* out, bool* expired) {
+bool AdmissionController::TakeLocked(Query* out, bool* expired) {
   for (auto& queue : queues_) {
     if (queue.empty()) continue;
     *out = std::move(queue.front());
@@ -73,14 +75,14 @@ bool AdmissionController::TakeLocked(AdmissionTicket* out, bool* expired) {
   return false;
 }
 
-bool AdmissionController::Take(AdmissionTicket* out, bool* expired) {
+bool AdmissionController::Take(Query* out, bool* expired) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return stopped_ || depth_ > 0; });
   if (stopped_) return false;
   return TakeLocked(out, expired);
 }
 
-bool AdmissionController::TryTake(AdmissionTicket* out, bool* expired) {
+bool AdmissionController::TryTake(Query* out, bool* expired) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopped_) return false;
   return TakeLocked(out, expired);

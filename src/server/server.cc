@@ -125,11 +125,10 @@ Query BuildQuery(const QueryRequest& req, uint64_t session_id,
 
 }  // namespace
 
-QueryResponse PbfsServer::MakeResponse(uint64_t request_id, QueryType type,
-                                       QueryResult&& result) {
+QueryResponse PbfsServer::MakeResponse(QueryResult&& result) {
   QueryResponse resp;
-  resp.request_id = request_id;
-  resp.type = type;
+  resp.request_id = result.trace.request_id;
+  resp.type = static_cast<QueryType>(result.trace.query_type);
   resp.status = result.status;
   resp.sketch_resolved = result.sketch_resolved;
   resp.snapshot_version = result.snapshot_version;
@@ -179,19 +178,13 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
           q.deadline_ms == 0
               ? 0
               : now_ns + static_cast<int64_t>(q.deadline_ms) * 1000000;
-      AdmissionTicket ticket;
-      ticket.session_id = conn.session->id();
-      ticket.request_id = q.request_id;
-      ticket.priority = q.priority;
-      ticket.type = q.type;
-      ticket.deadline_ns = deadline_ns;
-      ticket.query = BuildQuery(q, conn.session->id(), deadline_ns, now_ns);
-      // Offer consumes the ticket; a shed query's record closes from
+      Query query = BuildQuery(q, conn.session->id(), deadline_ns, now_ns);
+      // Offer consumes the query; a shed query's record closes from
       // this copy, which never passed admission.
-      obs::QueryTraceRecord trace = ticket.query.trace;
-      ticket.query.trace.bound(obs::QueryStageBound::kAdmitted) = now_ns;
+      obs::QueryTraceRecord trace = query.trace;
+      query.trace.bound(obs::QueryStageBound::kAdmitted) = now_ns;
       const AdmitResult r =
-          admission_.Offer(std::move(ticket), engine_inflight_.load());
+          admission_.Offer(std::move(query), engine_inflight_.load());
       if (r != AdmitResult::kAdmitted) {
         trace.shed_reason =
             r == AdmitResult::kShedQueueFull ? "queue_full" : "deadline";
@@ -213,15 +206,11 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
 // ---- Submit thread ----
 
 void PbfsServer::SubmitLoop() {
-  AdmissionTicket ticket;
+  Query query;
   bool expired = false;
-  while (admission_.Take(&ticket, &expired)) {
+  while (admission_.Take(&query, &expired)) {
     InFlight f;
-    f.session_id = ticket.session_id;
-    f.request_id = ticket.request_id;
-    f.type = ticket.type;
-    f.priority = ticket.priority;
-    ticket.query.trace.bound(obs::QueryStageBound::kTaken) = NowNanos();
+    query.trace.bound(obs::QueryStageBound::kTaken) = NowNanos();
     if (expired) {
       // Missed its deadline while queued: answer without burning a
       // traversal. Routed through the completion queue so delivery
@@ -229,7 +218,7 @@ void PbfsServer::SubmitLoop() {
       std::promise<QueryResult> p;
       QueryResult r;
       r.status = QueryStatus::kDeadlineExceeded;
-      r.trace = ticket.query.trace;
+      r.trace = query.trace;
       p.set_value(std::move(r));
       f.future = p.get_future();
     } else {
@@ -241,7 +230,7 @@ void PbfsServer::SubmitLoop() {
       }
       f.counted_inflight = true;
       f.submit_ns = NowNanos();
-      QueryEngine::Submission sub = engine_->Submit(std::move(ticket.query));
+      QueryEngine::Submission sub = engine_->Submit(std::move(query));
       f.future = std::move(sub.result);
     }
     {
@@ -289,21 +278,20 @@ void PbfsServer::CompletionLoop() {
       admission_.OnServiced(static_cast<double>(done_ns - f.submit_ns) *
                             1e-6);
     }
-    DeliverResponse(f, std::move(result));
+    DeliverResponse(std::move(result));
   }
 }
 
-void PbfsServer::DeliverResponse(const InFlight& f, QueryResult&& result) {
+void PbfsServer::DeliverResponse(QueryResult&& result) {
   obs::QueryTraceRecord trace = result.trace;
-  const QueryResponse resp =
-      MakeResponse(f.request_id, f.type, std::move(result));
+  const QueryResponse resp = MakeResponse(std::move(result));
   // Encoded before taking mu_: the poll thread holds mu_ for its whole
   // recv/send pass, so a long encode under it would stall I/O on every
   // connection.
   std::string frame;
   EncodeQueryResponse(resp, &frame);
   const int64_t now = NowNanos();
-  latency_windows_[static_cast<int>(f.priority)].Add(
+  latency_windows_[trace.priority].Add(
       static_cast<double>(now - trace.bound(obs::QueryStageBound::kReceived)) *
           1e-6,
       now);
@@ -316,7 +304,7 @@ void PbfsServer::DeliverResponse(const InFlight& f, QueryResult&& result) {
     if (resp.status == QueryStatus::kDeadlineExceeded) {
       ++stats_.queries_timed_out;
     }
-    auto it = conns_.find(f.session_id);
+    auto it = conns_.find(trace.session_id);
     if (it == conns_.end()) {
       ++stats_.responses_dropped;
       return;

@@ -125,11 +125,9 @@ class PbfsServer {
   };
 
   // A submitted (or synthetically completed) request awaiting delivery.
+  // Its identity (session, request id, type, priority) travels in the
+  // result's trace record.
   struct InFlight {
-    uint64_t session_id = 0;
-    uint64_t request_id = 0;
-    QueryType type = QueryType::kLevels;
-    Priority priority = Priority::kNormal;
     // Taken just before Submit, so the admission cost model's service
     // time includes the wait for the engine (the engine's own
     // kSubmitted stamp comes after it).
@@ -153,8 +151,9 @@ class PbfsServer {
   void QueueFrameLocked(Conn& conn, std::string&& frame, int64_t now_ns,
                         std::vector<Request>* resumed);
   // Completion-thread side: encode (outside mu_), close the query's
-  // trace record at wire-delivery time, find the session and deliver.
-  void DeliverResponse(const InFlight& f, QueryResult&& result);
+  // trace record at wire-delivery time, find the session named by
+  // result.trace and deliver.
+  void DeliverResponse(QueryResult&& result);
   void WakePoll();
   // Requires mu_. Close the fd and drop the session.
   void CloseConnLocked(Conn& conn);
@@ -162,9 +161,9 @@ class PbfsServer {
   // room at the connection cap. Returns false if nothing was evictable.
   bool EvictLraLocked(int64_t now_ns);
 
-  // Moves the result's arrays into the response instead of copying.
-  static QueryResponse MakeResponse(uint64_t request_id, QueryType type,
-                                    QueryResult&& result);
+  // Moves the result's arrays into the response instead of copying;
+  // the request id and type come from result.trace.
+  static QueryResponse MakeResponse(QueryResult&& result);
 
   QueryEngine* const engine_;
   const ServerOptions options_;

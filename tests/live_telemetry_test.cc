@@ -33,6 +33,7 @@
 #include "obs/trace.h"
 #include "sched/worker_pool.h"
 #include "util/flags.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace pbfs {
@@ -49,15 +50,21 @@ bool Contains(const std::string& haystack, const std::string& needle) {
 
 // ---- Exposition format ----
 
+// Every family comes from a collector reading its owner's state at
+// scrape time, so a value changed between scrapes shows in the next.
 TEST(MetricsRegistryTest, ExposesCountersGaugesAndCallbacks) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter* requests =
-      registry.AddCounter("test_requests_total", "Requests seen.");
-  MetricsRegistry::Gauge* depth = registry.AddGauge("test_depth", "Depth.");
-  registry.AddCallbackGauge("test_dynamic", "Computed at scrape.",
-                            [] { return 2.5; });
-  requests->Increment(3);
-  depth->Set(7);
+  uint64_t requests = 3;
+  double depth = 7;
+  registry.AddCollector(&registry, [&](ExpositionWriter& writer) {
+    writer.BeginFamily("test_requests_total", "Requests seen.", "counter");
+    writer.Sample("test_requests_total", {},
+                  static_cast<double>(requests));
+    writer.BeginFamily("test_depth", "Depth.", "gauge");
+    writer.Sample("test_depth", {}, depth);
+    writer.BeginFamily("test_dynamic", "Computed at scrape.", "gauge");
+    writer.Sample("test_dynamic", {}, 2.5);
+  });
 
   const std::string text = registry.ExpositionText();
   EXPECT_TRUE(Contains(text, "# HELP test_requests_total Requests seen.\n"));
@@ -68,21 +75,27 @@ TEST(MetricsRegistryTest, ExposesCountersGaugesAndCallbacks) {
   EXPECT_TRUE(Contains(text, "test_dynamic 2.5\n"));
   // The built-in scrape counter counts this very exposition.
   EXPECT_TRUE(Contains(text, "pbfs_scrapes_total 1\n"));
-  EXPECT_TRUE(Contains(registry.ExpositionText(), "pbfs_scrapes_total 2\n"));
+  requests = 4;
+  const std::string second = registry.ExpositionText();
+  EXPECT_TRUE(Contains(second, "pbfs_scrapes_total 2\n"));
+  EXPECT_TRUE(Contains(second, "test_requests_total 4\n"));
 }
 
 TEST(MetricsRegistryTest, HistogramRendersCumulativeBuckets) {
   MetricsRegistry registry;
-  MetricsRegistry::LiveHistogram* hist = registry.AddHistogram(
-      "test_latency", "Latency.", /*min_bound=*/1.0, /*growth=*/2.0,
-      /*num_log_buckets=*/4);
-  hist->Observe(0.5);   // underflow bucket
-  hist->Observe(3.0);
-  hist->Observe(100.0);  // overflow bucket
+  Histogram hist(/*min_bound=*/1.0, /*growth=*/2.0, /*num_log_buckets=*/4);
+  hist.Add(0.5);    // underflow bucket
+  hist.Add(3.0);
+  hist.Add(100.0);  // overflow bucket
+  registry.AddCollector(&registry, [&hist](ExpositionWriter& writer) {
+    writer.BeginFamily("test_latency", "Latency.", "histogram");
+    writer.HistogramSamples("test_latency", {}, hist);
+  });
 
   const std::string text = registry.ExpositionText();
   EXPECT_TRUE(Contains(text, "# TYPE test_latency histogram\n"));
   EXPECT_TRUE(Contains(text, "test_latency_count 3\n"));
+  EXPECT_TRUE(Contains(text, "test_latency_sum 103.5\n"));
   // Cumulative: every bucket count is >= the previous, closing at +Inf
   // with the total.
   EXPECT_TRUE(Contains(text, "le=\"+Inf\"} 3\n"));
@@ -116,7 +129,7 @@ TEST(MetricsRegistryTest, EscapesLabelValuesAndHelp) {
 
 TEST(MetricsRegistryTest, CollectorsAreRemovableByOwner) {
   MetricsRegistry registry;
-  int owner_a, owner_b;
+  int owner_a = 0, owner_b = 0;
   registry.AddCollector(&owner_a, [](ExpositionWriter& writer) {
     writer.BeginFamily("test_from_a", "a", "gauge");
     writer.Sample("test_from_a", {}, 1);
@@ -154,6 +167,36 @@ TEST(MetricsRegistryTest, ValidatesMetricNames) {
   EXPECT_FALSE(obs::IsValidMetricName("9starts_with_digit"));
   EXPECT_FALSE(obs::IsValidMetricName("has-dash"));
   EXPECT_FALSE(obs::IsValidMetricName("has space"));
+}
+
+// The one render path checks every family a scrape begins: an invalid
+// name, or a name begun twice in one scrape (here by two collectors),
+// fails a check instead of emitting an exposition scrapers reject.
+TEST(MetricsRegistryTest, RejectsInvalidAndDuplicateFamilies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto family = [](const char* name) {
+    return [name](ExpositionWriter& writer) {
+      writer.BeginFamily(name, "help", "gauge");
+      writer.Sample(name, {}, 1);
+    };
+  };
+  int owner_a = 0, owner_b = 0;
+  MetricsRegistry bad_name;
+  bad_name.AddCollector(&owner_a, family("has-dash"));
+  EXPECT_DEATH(bad_name.ExpositionText(), "PBFS_CHECK");
+
+  MetricsRegistry twice;
+  twice.AddCollector(&owner_a, family("test_shared"));
+  twice.AddCollector(&owner_b, family("test_shared"));
+  EXPECT_DEATH(twice.ExpositionText(), "PBFS_CHECK");
+  // One collector per name renders, scrape after scrape.
+  twice.RemoveCollectors(&owner_b);
+  EXPECT_TRUE(Contains(twice.ExpositionText(), "test_shared 1\n"));
+  EXPECT_TRUE(Contains(twice.ExpositionText(), "test_shared 1\n"));
+
+  MetricsRegistry builtin;
+  builtin.AddCollector(&owner_a, family("pbfs_scrapes_total"));
+  EXPECT_DEATH(builtin.ExpositionText(), "PBFS_CHECK");
 }
 
 // ---- HTTP server, through a real client socket ----
@@ -412,6 +455,60 @@ TEST(StallWatchdogTest, RegistersCountersOnRegistry) {
   watchdog.PollOnce();
   EXPECT_TRUE(Contains(registry.ExpositionText(),
                        "pbfs_watchdog_stall_reports_total 1\n"));
+}
+
+// The pbfs_watchdog_* families are rendered by the watchdog's collector
+// from stats(), so a scrape reads exactly the counts stats() reports;
+// Stop() withdraws them (started or not) and the registry scrapes on.
+TEST(StallWatchdogTest, CollectorMirrorsStatsAndStopWithdrawsIt) {
+  MetricsRegistry registry;
+  FakeClock clock;
+  clock.now_ns = 1000 * kMs;
+  StallWatchdog::Options options;
+  options.worker_stall_ms = 100;
+  options.slow_query_ms = 100;
+  options.report_cooldown_ms = 0;
+  options.dump_dir = "";
+  options.registry = &registry;
+  options.now_ns = clock.fn();
+  StallWatchdog watchdog(options);
+  watchdog.WatchWorkers([] {
+    return std::vector<StallWatchdog::WorkerSample>{{0, 1, true}};
+  });
+  std::vector<StallWatchdog::AdmissionSample> in_flight = {
+      {7, clock.now_ns, "levels"}, {8, clock.now_ns, "levels"}};
+  watchdog.WatchAdmissions([&in_flight] { return in_flight; });
+
+  std::string text = registry.ExpositionText();
+  EXPECT_TRUE(Contains(text, "pbfs_watchdog_stall_reports_total 0\n"));
+  EXPECT_TRUE(Contains(text, "pbfs_watchdog_slow_query_reports_total 0\n"));
+  EXPECT_TRUE(Contains(text, "pbfs_watchdog_flightrec_dumps_total 0\n"));
+
+  watchdog.PollOnce();
+  clock.now_ns += 200 * kMs;
+  watchdog.PollOnce();  // one stall report, one slow-query report
+  in_flight.push_back({9, clock.now_ns - 150 * kMs, "khop"});
+  clock.now_ns += 1 * kMs;
+  watchdog.PollOnce();  // a second slow-query report (id 9)
+  const StallWatchdog::Stats stats = watchdog.stats();
+  EXPECT_EQ(stats.stall_reports, 1u);
+  EXPECT_EQ(stats.slow_query_reports, 2u);
+  text = registry.ExpositionText();
+  EXPECT_TRUE(Contains(text, "# TYPE pbfs_watchdog_stall_reports_total "
+                             "counter\n"));
+  EXPECT_TRUE(Contains(text, "pbfs_watchdog_stall_reports_total " +
+                                 std::to_string(stats.stall_reports) + "\n"));
+  EXPECT_TRUE(Contains(text, "pbfs_watchdog_slow_query_reports_total " +
+                                 std::to_string(stats.slow_query_reports) +
+                                 "\n"));
+  EXPECT_TRUE(Contains(text, "pbfs_watchdog_flightrec_dumps_total " +
+                                 std::to_string(stats.dumps_written) + "\n"));
+
+  watchdog.Stop();
+  text = registry.ExpositionText();
+  EXPECT_FALSE(Contains(text, "pbfs_watchdog_"));
+  EXPECT_TRUE(Contains(text, "pbfs_scrapes_total 3\n"));
+  watchdog.Stop();  // idempotent
 }
 
 // ---- Query engine live telemetry, end to end ----

@@ -19,6 +19,7 @@
 #include "bfs/single_source.h"
 #include "graph/generators.h"
 #include "obs/perf_counters.h"
+#include "obs/perf_event.h"
 #include "obs/trace.h"
 #include "sched/worker_pool.h"
 
@@ -120,6 +121,38 @@ TEST(PerfCountersTest, ForcedNullBackendStillMarksSpans) {
     }
     // The software args are untouched by the degradation.
     EXPECT_TRUE(HasArg(span, "frontier"));
+  }
+}
+
+// PBFS_PERF_DISABLE has one parse, shared by the counters and the
+// sampler: unset, "" and "0" leave perf on; any other value ("1",
+// "00") turns it off, and the counters then report the variable.
+TEST(PerfCountersTest, PerfDisableEnvHasOneParse) {
+  const char* saved = std::getenv("PBFS_PERF_DISABLE");
+  const std::string restore = saved != nullptr ? saved : "";
+  const bool was_set = saved != nullptr;
+  unsetenv("PBFS_PERF_DISABLE");
+  EXPECT_FALSE(obs::PerfDisabledByEnv());
+  const struct {
+    const char* value;
+    bool disabled;
+  } cases[] = {{"", false}, {"0", false}, {"1", true}, {"00", true}};
+  for (const auto& c : cases) {
+    setenv("PBFS_PERF_DISABLE", c.value, 1);
+    EXPECT_EQ(obs::PerfDisabledByEnv(), c.disabled) << '"' << c.value << '"';
+    if (c.disabled) {
+      EXPECT_FALSE(PerfCounters::Enable()) << '"' << c.value << '"';
+      EXPECT_NE(std::string(PerfCounters::unavailable_reason())
+                    .find("PBFS_PERF_DISABLE"),
+                std::string::npos)
+          << PerfCounters::unavailable_reason();
+      PerfCounters::Disable();
+    }
+  }
+  if (was_set) {
+    setenv("PBFS_PERF_DISABLE", restore.c_str(), 1);
+  } else {
+    unsetenv("PBFS_PERF_DISABLE");
   }
 }
 

@@ -1,7 +1,8 @@
 // Admission-controller suite: priority ordering, bounded-queue
 // shedding, deadline-aware shedding driven by the EWMA cost model, and
 // deadline expiry between Offer and Take — all on an injected fake
-// clock (AdmissionController::Options::now_ns), zero sleeps.
+// clock (AdmissionController::Options::now_ns), zero sleeps. Queries
+// carry their own priority (trace.priority) and deadline.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +14,12 @@ namespace {
 
 constexpr int64_t kMs = 1000000;
 
-AdmissionTicket Ticket(uint64_t id, Priority priority,
-                       int64_t deadline_ns = 0) {
-  AdmissionTicket t;
-  t.request_id = id;
-  t.priority = priority;
-  t.deadline_ns = deadline_ns;
-  return t;
+Query Ticket(uint64_t id, Priority priority, int64_t deadline_ns = 0) {
+  Query q;
+  q.trace.request_id = id;
+  q.trace.priority = static_cast<uint8_t>(priority);
+  q.deadline_ns = deadline_ns;
+  return q;
 }
 
 TEST(AdmissionTest, PriorityOrderThenFifoWithinPriority) {
@@ -31,12 +31,12 @@ TEST(AdmissionTest, PriorityOrderThenFifoWithinPriority) {
             AdmitResult::kAdmitted);
   ASSERT_EQ(adm.Offer(Ticket(4, Priority::kNormal), 0),
             AdmitResult::kAdmitted);
-  AdmissionTicket t;
+  Query t;
   bool expired = false;
   uint64_t expect[] = {3, 2, 4, 1};
   for (uint64_t id : expect) {
     ASSERT_TRUE(adm.TryTake(&t, &expired));
-    EXPECT_EQ(t.request_id, id);
+    EXPECT_EQ(t.trace.request_id, id);
     EXPECT_FALSE(expired);
   }
   EXPECT_FALSE(adm.TryTake(&t, &expired));
@@ -126,13 +126,13 @@ TEST(AdmissionTest, DeadlineExpiryBetweenOfferAndTake) {
             AdmitResult::kAdmitted);
   // Time passes while the tickets queue.
   fake_now = 10 * kMs;
-  AdmissionTicket t;
+  Query t;
   bool expired = false;
   ASSERT_TRUE(adm.TryTake(&t, &expired));
-  EXPECT_EQ(t.request_id, 1u);
+  EXPECT_EQ(t.trace.request_id, 1u);
   EXPECT_TRUE(expired);  // 5ms deadline passed at 10ms
   ASSERT_TRUE(adm.TryTake(&t, &expired));
-  EXPECT_EQ(t.request_id, 2u);
+  EXPECT_EQ(t.trace.request_id, 2u);
   EXPECT_FALSE(expired);
   EXPECT_EQ(adm.GetStats().expired_in_queue, 1u);
 }
@@ -140,11 +140,21 @@ TEST(AdmissionTest, DeadlineExpiryBetweenOfferAndTake) {
 TEST(AdmissionTest, StopUnblocksTakeAndShedsOffers) {
   AdmissionController adm({});
   adm.Stop();
-  AdmissionTicket t;
+  Query t;
   bool expired = false;
   EXPECT_FALSE(adm.Take(&t, &expired));  // returns, does not block
   EXPECT_EQ(adm.Offer(Ticket(1, Priority::kHigh), 0),
             AdmitResult::kShedQueueFull);
+}
+
+// The priority indexes the queues, so an out-of-range one fails a
+// check instead of writing past them.
+TEST(AdmissionTest, RejectsOutOfRangePriority) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  AdmissionController adm({});
+  Query q;
+  q.trace.priority = kNumPriorities;
+  EXPECT_DEATH(adm.Offer(std::move(q), 0), "PBFS_CHECK");
 }
 
 }  // namespace
