@@ -11,19 +11,28 @@
 #include "obs/profiler/sampling_profiler.h"
 #include "obs/query_trace.h"
 #include "obs/trace.h"
-#include "sched/worker_pool.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace {
 
-// Workers in the compactor's private pool, created lazily by the first
-// ApplyUpdates.
-constexpr int kCompactorWorkers = 2;
-
-// Terminal instant for one query. Exactly one is emitted per admitted
-// query — the obs engine test counts them against queries_admitted.
-void TraceQueryDone(uint64_t id, pbfs::QueryStatus status) {
+// Completes query `id`: hands its trace record back in the result,
+// fulfills the promise, and emits the terminal query.done instant with
+// the result's status. Every completion goes through here, so exactly
+// one query.done is emitted per admitted query — the obs engine test
+// counts them against queries_admitted. The engine closes only the
+// trace records it opened (in-process Submit); the server closes a wire
+// query's record once the response is queued.
+void HandBack(uint64_t id, const pbfs::obs::QueryTraceRecord& trace,
+              bool owns_trace, pbfs::QueryResult result,
+              std::promise<pbfs::QueryResult>& promise) {
+  const pbfs::QueryStatus status = result.status;
+  result.trace = trace;
+  if (owns_trace) {
+    pbfs::obs::QueryTraceStore::Get().Finish(
+        result.trace, pbfs::TraceOutcome(status), pbfs::NowNanos());
+  }
+  promise.set_value(std::move(result));
   pbfs::obs::Tracer& tracer = pbfs::obs::Tracer::Get();
   if (!tracer.enabled()) return;
   pbfs::obs::TraceEvent event =
@@ -31,18 +40,6 @@ void TraceQueryDone(uint64_t id, pbfs::QueryStatus status) {
   event.AddArg("query", id);
   event.AddArg("status", static_cast<uint64_t>(status));
   tracer.Record(event);
-}
-
-// Hands the query's trace record back in its result. The engine closes
-// only the records it opened (in-process Submit); the server closes a
-// wire query's record once the response is queued.
-void HandBackTrace(const pbfs::obs::QueryTraceRecord& trace, bool owns_trace,
-                   pbfs::QueryResult* result) {
-  result->trace = trace;
-  if (owns_trace) {
-    pbfs::obs::QueryTraceStore::Get().Finish(
-        result->trace, pbfs::TraceOutcome(result->status), pbfs::NowNanos());
-  }
 }
 
 }  // namespace
@@ -130,7 +127,8 @@ QueryEngine::QueryEngine(const Graph& graph, Executor* executor,
     : executor_(executor),
       options_(std::move(options)),
       num_vertices_(graph.num_vertices()),
-      snapshots_(SnapshotManager::Borrow(graph)) {
+      snapshots_(SnapshotManager::Borrow(graph)),
+      compactor_(&snapshots_, options_.maintenance_debug_delay_ms) {
   PBFS_CHECK(executor_ != nullptr);
   PBFS_CHECK(IsSupportedWidth(options_.max_batch_width));
   PBFS_CHECK(options_.coalesce_wait_ms >= 0);
@@ -143,20 +141,9 @@ QueryEngine::QueryEngine(const Graph& graph, Executor* executor,
   // name fails at construction, not on the first wide burst.
   PBFS_CHECK(RunnerForWidth(kSupportedWidths[0]) != nullptr);
   if (options_.enable_sketches) {
-    Executor* sketch_exec;
-    if (options_.sketch_workers > 1) {
-      sketch_pool_ = std::make_unique<WorkerPool>(WorkerPool::Options{
-          .num_workers = options_.sketch_workers, .pin_threads = false});
-      sketch_exec = sketch_pool_.get();
-    } else {
-      sketch_serial_ = std::make_unique<SerialExecutor>();
-      sketch_exec = sketch_serial_.get();
-    }
     rebuilder_ = std::make_unique<SketchRebuilder>(
-        &snapshots_, sketch_exec,
-        SketchRebuilderOptions{
-            .sketch = options_.sketch,
-            .debug_delay_ms = options_.sketch_debug_delay_ms});
+        &snapshots_, options_.sketch, options_.sketch_workers,
+        options_.maintenance_debug_delay_ms);
   }
   dispatcher_ = std::thread([this] { DispatcherMain(); });
 }
@@ -172,16 +159,10 @@ QueryEngine::~QueryEngine() {
   work_cv_.notify_all();
   dispatcher_.join();
   // After the dispatcher no traversal can pin new snapshots; stop the
-  // rebuilder and compactor (each joins its in-flight cycle) before
-  // the manager goes away.
+  // rebuilder (it joins its in-flight cycle). The compactor then stops
+  // the same way, and the snapshot manager last: members destruct in
+  // reverse declaration order.
   rebuilder_.reset();
-  sketch_pool_.reset();
-  sketch_serial_.reset();
-  {
-    std::lock_guard<std::mutex> lock(compactor_mu_);
-    compactor_.reset();
-    compactor_pool_.reset();
-  }
 }
 
 QueryEngine::Submission QueryEngine::Submit(Query query) {
@@ -217,9 +198,7 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
     QueryResult result;
     result.status = QueryStatus::kCancelled;
     ++stats_.queries_cancelled;
-    HandBackTrace(trace, owns_trace, &result);
-    promise.set_value(std::move(result));
-    TraceQueryDone(submission.id, QueryStatus::kCancelled);
+    HandBack(submission.id, trace, owns_trace, std::move(result), promise);
     return submission;
   }
   // Pinning under mutex_ (lock order: engine mutex_ -> snapshot mu_)
@@ -290,9 +269,7 @@ bool QueryEngine::TryAnswerFromSketchLocked(
   trace.bound(obs::QueryStageBound::kDispatched) = done_ns;
   trace.bound(obs::QueryStageBound::kKernelDone) = done_ns;
   trace.snapshot_version = result.snapshot_version;
-  HandBackTrace(trace, owns_trace, &result);
-  promise.set_value(std::move(result));
-  TraceQueryDone(id, QueryStatus::kOk);
+  HandBack(id, trace, owns_trace, std::move(result), promise);
   return true;
 }
 
@@ -322,35 +299,19 @@ SnapshotStats QueryEngine::SnapshotInfo() const {
 }
 
 Compactor::Stats QueryEngine::CompactorStats() const {
-  std::lock_guard<std::mutex> lock(compactor_mu_);
-  if (compactor_ == nullptr) return Compactor::Stats{};
-  return compactor_->GetStats();
-}
-
-void QueryEngine::EnsureCompactorStarted() {
-  std::lock_guard<std::mutex> lock(compactor_mu_);
-  if (compactor_ != nullptr) return;
-  compactor_pool_ = std::make_unique<WorkerPool>(WorkerPool::Options{
-      .num_workers = kCompactorWorkers, .pin_threads = false});
-  compactor_ = std::make_unique<Compactor>(
-      &snapshots_, compactor_pool_.get(),
-      CompactorOptions{.debug_delay_ms = options_.compactor_debug_delay_ms});
+  return compactor_.GetStats();
 }
 
 uint64_t QueryEngine::ApplyUpdates(std::span<const EdgeUpdate> updates) {
   obs::ScopedSpan span("engine.apply_updates");
   span.AddArg("ops", static_cast<uint64_t>(updates.size()));
-  EnsureCompactorStarted();
   const uint64_t version = snapshots_.ApplyBatch(updates);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.update_batches;
     stats_.edge_updates_applied += updates.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(compactor_mu_);
-    compactor_->Notify();
-  }
+  compactor_.Notify();
   // The published sketch is now stale; p2p queries admitted before the
   // rebuild finishes fall back to exact traversals.
   if (rebuilder_ != nullptr) rebuilder_->Notify();
@@ -372,14 +333,7 @@ std::shared_ptr<const ClusterSketch> QueryEngine::CurrentSketch() const {
   return rebuilder_->Current();
 }
 
-void QueryEngine::WaitCompactorIdle() {
-  Compactor* compactor;
-  {
-    std::lock_guard<std::mutex> lock(compactor_mu_);
-    compactor = compactor_.get();
-  }
-  if (compactor != nullptr) compactor->WaitIdle();
-}
+void QueryEngine::WaitCompactorIdle() { compactor_.WaitIdle(); }
 
 void QueryEngine::CompleteLocked(PendingQuery& pending, QueryStatus status) {
   QueryResult result;
@@ -402,9 +356,8 @@ void QueryEngine::CompleteLocked(PendingQuery& pending, QueryStatus status) {
       PBFS_CHECK(false);
       break;
   }
-  HandBackTrace(pending.query.trace, pending.owns_trace, &result);
-  pending.promise.set_value(std::move(result));
-  TraceQueryDone(pending.id, status);
+  HandBack(pending.id, pending.query.trace, pending.owns_trace,
+           std::move(result), pending.promise);
   PBFS_CHECK(outstanding_ > 0);
   --outstanding_;
   done_cv_.notify_all();
@@ -606,9 +559,6 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     width = PickWidth(count);
     runner = RunnerForWidth(width);
   }
-  // resize, not assign: every kernel overwrites all count * n entries
-  // (unreached vertices get kLevelUnreached), so re-zeroing the reused
-  // buffer would only add a full memory pass per batch.
   batch_span.AddArg("width", static_cast<uint64_t>(width));
   // Every rider crossed the dispatch boundary together; the batch
   // facts (width, sequence) are what explain a query that was fast
@@ -618,6 +568,9 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     q.query.trace.batch_width = static_cast<uint32_t>(width);
     q.query.trace.batch_seq = batch_seq;
   }
+  // resize, not assign: every kernel overwrites all count * n entries
+  // (unreached vertices get kLevelUnreached), so re-zeroing the reused
+  // buffer would only add a full memory pass per batch.
   levels_.resize(count * static_cast<size_t>(n));
   runner->ComputeLevels(sources, options, levels_.data());
   const int64_t kernel_done_ns = NowNanos();
@@ -628,9 +581,8 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     obs::QueryTraceRecord& trace = batch[i].query.trace;
     trace.bound(obs::QueryStageBound::kKernelDone) = kernel_done_ns;
     trace.snapshot_version = content_version;
-    HandBackTrace(trace, batch[i].owns_trace, &result);
-    batch[i].promise.set_value(std::move(result));
-    TraceQueryDone(batch[i].id, QueryStatus::kOk);
+    HandBack(batch[i].id, trace, batch[i].owns_trace, std::move(result),
+             batch[i].promise);
   }
   return width;
 }

@@ -52,7 +52,7 @@ namespace obs {
 // between consecutive boundaries.
 enum class QueryStageBound : uint8_t {
   kReceived = 0,    // frame decoded / Submit entered
-  kAdmitted = 1,    // admission queue accepted the ticket
+  kAdmitted = 1,    // admission queue accepted the query
   kTaken = 2,       // submit loop dequeued it
   kSubmitted = 3,   // engine Submit admitted it (inflight gate passed)
   kDispatched = 4,  // dispatcher pulled it into a batch

@@ -539,7 +539,7 @@ void PbfsServer::CollectLiveMetrics(obs::ExpositionWriter& writer) const {
   writer.Sample("pbfs_server_sessions_active", {},
                 static_cast<double>(s.sessions_active));
   writer.BeginFamily("pbfs_server_queue_depth",
-                     "Admitted tickets awaiting submission.", "gauge");
+                     "Admitted queries awaiting submission.", "gauge");
   writer.Sample("pbfs_server_queue_depth", {},
                 static_cast<double>(s.admission.depth));
   writer.BeginFamily("pbfs_server_engine_inflight",

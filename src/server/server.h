@@ -11,10 +11,10 @@
 //                     engine inline and acked with the content
 //                     version that contains them.
 //
-//   submit thread   — pops admitted tickets (priority order), gates on
+//   submit thread   — pops admitted queries (priority order), gates on
 //                     max_engine_inflight, stamps the absolute
 //                     deadline, calls QueryEngine::Submit, and hands
-//                     the future to the completion thread. Tickets
+//                     the future to the completion thread. Queries
 //                     whose deadline expired while queued are answered
 //                     kDeadlineExceeded without submitting.
 //
@@ -109,7 +109,7 @@ class PbfsServer {
   bool Start();
   // Graceful stop: stop accepting, drain sessions (bounded by their
   // drain timers), complete already-submitted queries, join threads.
-  // Queued-but-unsubmitted tickets are abandoned. Idempotent.
+  // Queued-but-unsubmitted queries are abandoned. Idempotent.
   void Stop();
 
   int port() const { return port_; }

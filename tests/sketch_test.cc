@@ -341,7 +341,7 @@ TEST(EngineP2PChurnTest, NeverServesStaleSketch) {
   options.enable_sketches = true;
   options.sketch = {.num_clusters = 4, .cluster_size = 8};
   options.sketch_workers = 1;
-  options.sketch_debug_delay_ms = 50;
+  options.maintenance_debug_delay_ms = 50;
   QueryEngine engine(graph, &pool, options);
   engine.WaitSketchIdle();
   EXPECT_EQ(engine.SketchStats().content_version, 1u);
