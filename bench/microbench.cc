@@ -1,14 +1,17 @@
 // Kernel-level microbenchmarks (google-benchmark): bitset operations at
 // every supported width, atomic OR updates, task queue fetch cost, task
 // creation, labeling computation, single top-down / bottom-up
-// iterations, and the wire codec on a full level row. These quantify
-// the low-level claims of the paper — task fetch is "barely more than
-// an atomic increment", wide bitset steps amortize over concurrent
-// BFSs — and serve as regression guards.
+// iterations, one MS-PBFS batch into each result sink, and the wire
+// codec on a full level row. These quantify the low-level claims of the
+// paper — task fetch is "barely more than an atomic increment", wide
+// bitset steps amortize over concurrent BFSs — and serve as regression
+// guards.
 
 #include <benchmark/benchmark.h>
 
 #include "bfs/multi_source.h"
+#include "bfs/result_sink.h"
+#include "bfs/sequential.h"
 #include "bfs/single_source.h"
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -148,6 +151,57 @@ void BM_FullMsPbfsBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FullMsPbfsBatch)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
     ->Arg(1024)->ArgName("width");
+
+// One width-64 MS-PBFS batch on a 2^16-vertex social graph, delivered
+// to the full-levels sink (64 rows of |V| levels, what the query engine
+// wrote for every batch before it had a batch sink) or to the engine's
+// batch sink with 4 targets per slot, which ends the batch at its last
+// target. The in-process A/B for result-sink changes; `levels` reports
+// the levels the batch ran.
+void BM_MsPbfsSink(benchmark::State& state) {
+  const bool targets = state.range(0) == 1;
+  static const Graph g = SocialNetwork(
+      {.num_vertices = 1 << 16, .avg_degree = 12.0, .seed = 5});
+  const Vertex n = g.num_vertices();
+  SerialExecutor serial;
+  auto bfs = MakeMsPbfs(g, 64, &serial);
+  // Sources and targets from the component of the highest-degree
+  // vertex, so every target resolves and the batch ends at the farthest.
+  Vertex hub = 0;
+  for (Vertex v = 1; v < n; ++v) {
+    if (g.Degree(v) > g.Degree(hub)) hub = v;
+  }
+  std::vector<Level> levels(64 * static_cast<size_t>(n));
+  SequentialBfs(g, hub, levels.data());
+  Rng rng(5);
+  auto pick = [&] {
+    while (true) {
+      const Vertex v = static_cast<Vertex>(rng.NextBounded(n));
+      if (levels[v] != kLevelUnreached) return v;
+    }
+  };
+  std::vector<Vertex> sources(64);
+  for (Vertex& s : sources) s = pick();
+  std::vector<Vertex> picks(4 * 64);
+  for (Vertex& t : picks) t = pick();
+  BatchSink sink;
+  MsBfsResult r;
+  for (auto _ : state) {
+    if (targets) {
+      sink.Reset(n, serial.num_workers());
+      for (int i = 0; i < 64 * 4; ++i) sink.AddTarget(i / 4, picks[i]);
+      sink.Seal();
+      r = bfs->Run(sources, BfsOptions{}, sink);
+    } else {
+      r = bfs->Run(sources, BfsOptions{}, levels.data());
+    }
+    benchmark::DoNotOptimize(r);
+    benchmark::ClobberMemory();
+  }
+  state.counters["levels"] = r.iterations;
+}
+BENCHMARK(BM_MsPbfsSink)->Arg(0)->Arg(1)->ArgName("full0_targets1")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SequentialMsBfsBaseline(benchmark::State& state) {
   Graph g = Kronecker({.scale = 13, .edge_factor = 16, .seed = 2});

@@ -18,19 +18,19 @@ KHopResult KHopNeighborhoods(const Graph& graph,
   if (n == 0 || queries.empty()) return result;
 
   std::unique_ptr<MultiSourceBfsBase> bfs = MakeMsPbfs(graph, width, executor);
-  // Bounded traversal: stop as soon as the requested radius is covered
-  // instead of finishing the whole component.
-  BfsOptions options;
-  options.max_level = max_hops;
-  std::vector<Level> levels;
+  // The sink counts discoveries per slot and depth and ends each batch
+  // once the radius is covered, instead of finishing the component.
+  BatchSink sink;
   for (size_t base = 0; base < queries.size(); base += width) {
     const size_t k = std::min<size_t>(width, queries.size() - base);
-    std::span<const Vertex> batch(queries.data() + base, k);
-    levels.assign(k * static_cast<size_t>(n), 0);
-    bfs->Run(batch, options, levels.data());
+    sink.Reset(n, executor->num_workers());
     for (size_t i = 0; i < k; ++i) {
-      result.size[base + i] = KHopSizesFromLevels(
-          {levels.data() + i * n, static_cast<size_t>(n)}, max_hops);
+      sink.AddKHop(static_cast<int>(i), max_hops);
+    }
+    sink.Seal();
+    bfs->Run({queries.data() + base, k}, BfsOptions{}, sink);
+    for (size_t i = 0; i < k; ++i) {
+      result.size[base + i] = sink.KHopSizes(static_cast<int>(i), max_hops);
     }
   }
   return result;

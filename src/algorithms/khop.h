@@ -1,8 +1,9 @@
 // k-hop neighborhood enumeration — one of the BFS applications listed
 // in the paper's introduction ("neighborhood enumerations"). MS-PBFS
-// computes the hop distances of up to `width` query vertices in a
-// single pass over the graph; the cumulative neighborhood sizes are then
-// read off the level arrays.
+// traverses from up to `width` query vertices in a single pass over the
+// graph and counts each query's discoveries per hop in a result sink
+// (bfs/result_sink.h), stopping at the radius; no level arrays are
+// written.
 #ifndef PBFS_ALGORITHMS_KHOP_H_
 #define PBFS_ALGORITHMS_KHOP_H_
 
@@ -30,8 +31,8 @@ KHopResult KHopNeighborhoods(const Graph& graph,
 
 // Cumulative neighborhood sizes read off one already computed level
 // array (one row of a batched BFS output): result[h] = number of
-// vertices with 0 < level <= h, for h in [0, max_hops]. Shared between
-// KHopNeighborhoods and the query engine's k-hop extraction.
+// vertices with 0 < level <= h, for h in [0, max_hops]. The query
+// engine's answer for a lone k-hop query, and the tests' oracle.
 std::vector<uint64_t> KHopSizesFromLevels(std::span<const Level> levels,
                                           Level max_hops);
 

@@ -37,6 +37,21 @@ class JfqMsBfs final : public MultiSourceBfsBase {
 
   MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
                   Level* levels) override {
+    return RunWithLevels(levels, sources.size(), graph_.num_vertices(),
+                         [&](auto& sink) {
+                           return Traverse(sources, options, sink);
+                         });
+  }
+
+  MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
+                  BatchSink& sink) override {
+    return Traverse(sources, options, sink);
+  }
+
+ private:
+  template <typename Sink>
+  MsBfsResult Traverse(std::span<const Vertex> sources,
+                       const BfsOptions& options, Sink& sink) {
     const Vertex n = graph_.num_vertices();
     const int k = static_cast<int>(sources.size());
     PBFS_CHECK(k > 0 && k <= kBits);
@@ -54,16 +69,15 @@ class JfqMsBfs final : public MultiSourceBfsBase {
     in_next_queue_.FillZero();
     queue_.clear();
     next_queue_.clear();
-    if (levels != nullptr) {
-      std::fill(levels, levels + static_cast<size_t>(k) * n, kLevelUnreached);
-    }
 
     for (int i = 0; i < k; ++i) {
       PBFS_CHECK(sources[i] < n);
       if (frontier_[sources[i]].None()) queue_.push_back(sources[i]);
       seen_[sources[i]].Set(i);
       frontier_[sources[i]].Set(i);
-      if (levels != nullptr) levels[static_cast<size_t>(i) * n + sources[i]] = 0;
+      Bitset<kBits> bit{};
+      bit.Set(i);
+      sink.Visit(0, sources[i], bit, 0);
     }
 
     MsBfsResult result{.total_visits = static_cast<uint64_t>(k)};
@@ -84,11 +98,7 @@ class JfqMsBfs final : public MultiSourceBfsBase {
             next_queue_.push_back(nb);
             ++local.discovered;
           }
-          if (levels != nullptr) {
-            fresh.ForEachSetBit([&](int bfs) {
-              levels[static_cast<size_t>(bfs) * n + nb] = depth;
-            });
-          }
+          sink.Visit(0, nb, fresh, depth);
         }
         frontier_[v].Clear();
       }
@@ -98,11 +108,10 @@ class JfqMsBfs final : public MultiSourceBfsBase {
       next_queue_.clear();
       for (Vertex v : queue_) in_next_queue_[v] = 0;
       driver.EndTask(local);
-    });
+    }, [&](Level depth) { return sink.Done(depth); });
     return result;
   }
 
- private:
   const Graph& graph_;
   AlignedBuffer<Bitset<kBits>> seen_;
   AlignedBuffer<Bitset<kBits>> frontier_;

@@ -4,7 +4,8 @@
 // top-down and bottom-up traversals. Everything around those bodies is
 // the same for every kernel and lives here, once:
 //  * the level budget: stop after BfsOptions::max_level levels, and
-//    never run past kMaxLevel;
+//    never run past kMaxLevel; a caller's early exit is polled between
+//    levels;
 //  * the direction heuristic (see "Level loop" in docs/algorithms.md);
 //  * per-worker reduction slots, cache-line padded, which the body's
 //    tasks fill with discovered vertices, visits, and scout edges;
@@ -24,6 +25,12 @@
 //   BfsResult result{.vertices_visited = 1};
 //   driver.Run(/*frontier_vertices=*/1, graph.Degree(source), &result,
 //              [&](Direction direction, Level depth) { ... });
+//
+// A multi-source kernel also passes its result sink's early exit,
+// polled once between levels:
+//
+//   driver.Run(..., [&](Direction d, Level depth) { ... },
+//              [&](Level depth) { return sink.Done(depth); });
 //
 // Every task of the body brackets its work with BeginTask/EndTask:
 //
@@ -134,6 +141,11 @@ class LevelTrace {
 
 class LevelDriver {
  public:
+  // The default `done` of Run: traverse the whole component.
+  struct NeverDone {
+    constexpr bool operator()(Level) const { return false; }
+  };
+
   // `num_workers` sizes the reduction slots and the stats; sequential
   // kernels pass 1 and report each level as one task of worker 0.
   LevelDriver(const Graph& graph, const BfsOptions& options, int num_workers,
@@ -177,17 +189,20 @@ class LevelDriver {
     }
   }
 
-  // Runs levels until the frontier is empty or the level budget is
-  // spent. `frontier_vertices` and `scout_edges` describe the seeded
-  // frontier: its distinct vertices and their degree sum. `level` is
-  // invoked as level(Direction, Level depth) and must run the whole
-  // level, leaving the discovered vertices as the next frontier.
-  // `result` arrives seeded with the sources' visits and accumulates
-  // the rest (vertices_visited from discovered vertices, total_visits
-  // from visits).
-  template <typename Result, typename LevelFn>
+  // Runs levels until the frontier is empty, the level budget is
+  // spent, or `done` says the caller has what it needs.
+  // `frontier_vertices` and `scout_edges` describe the seeded frontier:
+  // its distinct vertices and their degree sum. `level` is invoked as
+  // level(Direction, Level depth) and must run the whole level, leaving
+  // the discovered vertices as the next frontier. `done(depth)` is
+  // polled once before each level with the depth finished so far (0 =
+  // the seeded sources); multi-source kernels pass their result sink's
+  // Done (bfs/result_sink.h). `result` arrives seeded with the sources'
+  // visits and accumulates the rest (vertices_visited from discovered
+  // vertices, total_visits from visits).
+  template <typename Result, typename LevelFn, typename DoneFn = NeverDone>
   void Run(uint64_t frontier_vertices, uint64_t scout_edges, Result* result,
-           LevelFn&& level) {
+           LevelFn&& level, DoneFn&& done = DoneFn{}) {
     static_assert(std::is_same_v<Result, BfsResult> ||
                   std::is_same_v<Result, MsBfsResult>);
     uint64_t edges_to_check = num_directed_edges_;
@@ -196,6 +211,7 @@ class LevelDriver {
     while (frontier_vertices > 0) {
       PBFS_CHECK(depth < kMaxLevel);
       if (depth >= options_.max_level) break;  // bounded traversal
+      if (done(depth)) break;                  // the sink is satisfied
       ++depth;
 
       // Direction heuristic (Beamer et al.): go bottom-up once the

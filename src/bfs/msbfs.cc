@@ -31,6 +31,21 @@ class MsBfs final : public MultiSourceBfsBase {
 
   MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
                   Level* levels) override {
+    return RunWithLevels(levels, sources.size(), graph_.num_vertices(),
+                         [&](auto& sink) {
+                           return Traverse(sources, options, sink);
+                         });
+  }
+
+  MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
+                  BatchSink& sink) override {
+    return Traverse(sources, options, sink);
+  }
+
+ private:
+  template <typename Sink>
+  MsBfsResult Traverse(std::span<const Vertex> sources,
+                       const BfsOptions& options, Sink& sink) {
     const Vertex n = graph_.num_vertices();
     const int k = static_cast<int>(sources.size());
     PBFS_CHECK(k > 0 && k <= kBits);
@@ -42,14 +57,13 @@ class MsBfs final : public MultiSourceBfsBase {
     seen_.FillZero();
     frontier_.FillZero();
     next_.FillZero();
-    if (levels != nullptr) {
-      std::fill(levels, levels + static_cast<size_t>(k) * n, kLevelUnreached);
-    }
     for (int i = 0; i < k; ++i) {
       PBFS_CHECK(sources[i] < n);
       seen_[sources[i]].Set(i);
       frontier_[sources[i]].Set(i);
-      if (levels != nullptr) levels[static_cast<size_t>(i) * n + sources[i]] = 0;
+      Bitset<kBits> bit{};
+      bit.Set(i);
+      sink.Visit(0, sources[i], bit, 0);
     }
 
     uint64_t frontier_vertices = 0;  // distinct initial frontier vertices
@@ -85,7 +99,7 @@ class MsBfs final : public MultiSourceBfsBase {
           next_[v] &= ~seen_[v];
           seen_[v] |= next_[v];
           if (next_[v].Any()) {
-            Visit(v, next_[v], depth, levels);
+            sink.Visit(0, v, next_[v], depth);
             ++local.discovered;
             local.visits += next_[v].Count();
             local.scout_edges += graph_.Degree(v);
@@ -103,7 +117,7 @@ class MsBfs final : public MultiSourceBfsBase {
           next_[u] &= ~seen_[u];
           seen_[u] |= next_[u];
           if (next_[u].Any()) {
-            Visit(u, next_[u], depth, levels);
+            sink.Visit(0, u, next_[u], depth);
             ++local.discovered;
             local.visits += next_[u].Count();
             local.scout_edges += graph_.Degree(u);
@@ -116,18 +130,8 @@ class MsBfs final : public MultiSourceBfsBase {
       std::swap(frontier_, next_);
       next_.FillZero();
       driver.EndTask(local);
-    });
+    }, [&](Level depth) { return sink.Done(depth); });
     return result;
-  }
-
- private:
-  void Visit(Vertex v, const Bitset<kBits>& bfs_bits, Level depth,
-             Level* levels) {
-    if (levels == nullptr) return;
-    const size_t n = graph_.num_vertices();
-    bfs_bits.ForEachSetBit([&](int bfs) {
-      levels[static_cast<size_t>(bfs) * n + v] = depth;
-    });
   }
 
   const Graph& graph_;

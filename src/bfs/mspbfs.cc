@@ -19,8 +19,8 @@
 //  * state is first-touch initialized with stealing disabled so pages
 //    live on the NUMA node of the owning worker (Section 4.4).
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "bfs/level_driver.h"
 #include "bfs/multi_source.h"
@@ -62,6 +62,23 @@ class MsPbfs final : public MultiSourceBfsBase {
 
   MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
                   Level* levels) override {
+    return RunWithLevels(levels, sources.size(), graph_.num_vertices(),
+                         [&](auto& sink) {
+                           return Traverse(sources, options, sink);
+                         });
+  }
+
+  MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
+                  BatchSink& sink) override {
+    return Traverse(sources, options, sink);
+  }
+
+ private:
+  static constexpr uint32_t kDesiredSplitSize = 1024;
+
+  template <typename Sink>
+  MsBfsResult Traverse(std::span<const Vertex> sources,
+                       const BfsOptions& options, Sink& sink) {
     const Vertex n = graph_.num_vertices();
     const int k = static_cast<int>(sources.size());
     PBFS_CHECK(k > 0 && k <= kBits);
@@ -79,9 +96,6 @@ class MsPbfs final : public MultiSourceBfsBase {
       std::memset(frontier_.data() + b, 0, (e - b) * sizeof(Bitset<kBits>));
       std::memset(next_.data() + b, 0, (e - b) * sizeof(Bitset<kBits>));
     });
-    if (levels != nullptr) {
-      std::fill(levels, levels + static_cast<size_t>(k) * n, kLevelUnreached);
-    }
 
     uint64_t frontier_vertices = 0;
     uint64_t scout_edges = 0;
@@ -91,27 +105,29 @@ class MsPbfs final : public MultiSourceBfsBase {
       seen_[sources[i]].Set(i);
       frontier_[sources[i]].Set(i);
       scout_edges += graph_.Degree(sources[i]);
-      if (levels != nullptr) levels[static_cast<size_t>(i) * n + sources[i]] = 0;
+      Bitset<kBits> bit{};
+      bit.Set(i);
+      sink.Visit(0, sources[i], bit, 0);
     }
 
     const Bitset<kBits> active = Bitset<kBits>::LowBits(k);
     MsBfsResult result{.total_visits = static_cast<uint64_t>(k)};
-    driver.Run(frontier_vertices, scout_edges, &result,
-               [&](Direction direction, Level depth) {
-                 if (direction == Direction::kTopDown) {
-                   RunTopDown(driver, n, split, depth, levels);
-                 } else {
-                   RunBottomUp(driver, n, split, depth, levels, active);
-                 }
-               });
+    driver.Run(
+        frontier_vertices, scout_edges, &result,
+        [&](Direction direction, Level depth) {
+          if (direction == Direction::kTopDown) {
+            RunTopDown(driver, n, split, depth, sink);
+          } else {
+            RunBottomUp(driver, n, split, depth, sink, active);
+          }
+        },
+        [&](Level depth) { return sink.Done(depth); });
     return result;
   }
 
- private:
-  static constexpr uint32_t kDesiredSplitSize = 1024;
-
+  template <typename Sink>
   void RunTopDown(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
-                  Level* levels) {
+                  Sink& sink) {
     // Phase 1: aggregate reachability. `frontier` and the graph are
     // read-only except for the owner's in-loop clear of frontier[v]
     // (only the task owner ever reads frontier[v] in top-down, so the
@@ -143,7 +159,7 @@ class MsPbfs final : public MultiSourceBfsBase {
         if (nf != next_[v]) next_[v] = nf;  // write only on change
         if (nf.None()) continue;
         seen_[v] |= nf;
-        Visit(static_cast<Vertex>(v), nf, depth, levels);
+        sink.Visit(w, static_cast<Vertex>(v), nf, depth);
         ++local.discovered;
         local.visits += nf.Count();
         local.scout_edges += graph_.Degree(static_cast<Vertex>(v));
@@ -155,8 +171,9 @@ class MsPbfs final : public MultiSourceBfsBase {
     std::swap(frontier_, next_);
   }
 
+  template <typename Sink>
   void RunBottomUp(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
-                   Level* levels, const Bitset<kBits>& active) {
+                   Sink& sink, const Bitset<kBits>& active) {
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
       LevelTask local = driver.BeginTask(w);
       for (uint64_t u = b; u < e; ++u) {
@@ -195,7 +212,7 @@ class MsPbfs final : public MultiSourceBfsBase {
         next_[u] = nf;
         if (nf.None()) continue;
         seen_[u] |= nf;
-        Visit(static_cast<Vertex>(u), nf, depth, levels);
+        sink.Visit(w, static_cast<Vertex>(u), nf, depth);
         ++local.discovered;
         local.visits += nf.Count();
         local.scout_edges += graph_.Degree(static_cast<Vertex>(u));
@@ -211,15 +228,6 @@ class MsPbfs final : public MultiSourceBfsBase {
       }
     });
     std::swap(frontier_, next_);
-  }
-
-  void Visit(Vertex v, const Bitset<kBits>& bfs_bits, Level depth,
-             Level* levels) {
-    if (levels == nullptr) return;
-    const size_t n = graph_.num_vertices();
-    bfs_bits.ForEachSetBit([&](int bfs) {
-      levels[static_cast<size_t>(bfs) * n + v] = depth;
-    });
   }
 
   const Graph& graph_;

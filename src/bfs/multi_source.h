@@ -15,6 +15,9 @@
 //   separate clearing pass; bottom-up stops scanning a vertex's
 //   neighbors once every concurrent BFS is accounted for.
 //
+// Each kernel is a template over its result sink (bfs/result_sink.h):
+// full level rows, nothing, or the query engine's per-slot answers.
+//
 // Instances own their BFS state and may be reused across batches; this
 // is what keeps MS-PBFS's memory footprint at a single instance
 // regardless of thread count (Figure 3).
@@ -25,6 +28,7 @@
 #include <span>
 
 #include "bfs/common.h"
+#include "bfs/result_sink.h"
 #include "graph/graph.h"
 #include "sched/executor.h"
 
@@ -50,6 +54,12 @@ class MultiSourceBfsBase {
   // if v is not reachable).
   virtual MsBfsResult Run(std::span<const Vertex> sources,
                           const BfsOptions& options, Level* levels) = 0;
+
+  // Runs one batch into `sink` (configured and sealed by the caller),
+  // stopping early once sink.Done() holds. Both entry points run the
+  // same kernel template; this one costs one indirect call per batch.
+  virtual MsBfsResult Run(std::span<const Vertex> sources,
+                          const BfsOptions& options, BatchSink& sink) = 0;
 
   virtual int width() const = 0;
 

@@ -105,6 +105,8 @@ class MultiSourceRunner : public BfsVariantRunner {
     }
   }
 
+  MultiSourceBfsBase* multi_source() override { return bfs_.get(); }
+
  private:
   std::unique_ptr<MultiSourceBfsBase> bfs_;
   Vertex n_;

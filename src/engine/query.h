@@ -1,8 +1,8 @@
 // Typed BFS queries and results for the concurrent query engine.
 //
 // A Query is one independent traversal request from one client: the
-// engine answers it from a full level array computed either by a
-// coalesced MS-PBFS batch or by a single-source fallback run (see
+// engine answers it from a coalesced MS-PBFS batch's result sink, or
+// from the level array of a single-source fallback run (see
 // query_engine.h). The types cover the BFS applications named in
 // the paper's introduction: full distance labelings, point-to-point
 // distances, reachability, and k-hop neighborhood enumeration — plus
@@ -45,8 +45,8 @@ struct Query {
   // accuracy for microsecond answers; the served distance is then the
   // upper bound, at most `tolerance` above the truth.
   Level tolerance = 0;
-  // Traversal radius for kKHop. Batches consisting solely of k-hop
-  // queries are traversed bounded (options.max_level), so small radii
+  // Traversal radius for kKHop. A batch stops once its depth covers
+  // the largest radius and its other answers are known, so small radii
   // stay cheap even through the engine.
   Level max_hops = kMaxLevel;
   // Absolute monotonic deadline on the NowNanos() clock; 0 = none. A

@@ -42,6 +42,16 @@ void HandBack(uint64_t id, const pbfs::obs::QueryTraceRecord& trace,
   tracer.Record(event);
 }
 
+// False when `target` is certainly unreachable from `source` without a
+// traversal: a vertex without edges reaches only itself. The batch sink
+// is not asked for such targets, so an isolated endpoint does not hold
+// its batch to the component's last level.
+bool MayReach(const pbfs::Graph& graph, pbfs::Vertex source,
+              pbfs::Vertex target) {
+  return source == target ||
+         (graph.Degree(source) > 0 && graph.Degree(target) > 0);
+}
+
 }  // namespace
 
 namespace pbfs {
@@ -138,8 +148,11 @@ QueryEngine::QueryEngine(const Graph& graph, Executor* executor,
                                      runners_snapshot_->graph(), executor_);
   PBFS_CHECK(single_runner_ != nullptr);  // unknown single_variant name
   // Resolve the batch variant eagerly at the smallest width so a typo'd
-  // name fails at construction, not on the first wide burst.
-  PBFS_CHECK(RunnerForWidth(kSupportedWidths[0]) != nullptr);
+  // or single-source name fails at construction, not on the first wide
+  // burst.
+  BfsVariantRunner* batch_runner = RunnerForWidth(kSupportedWidths[0]);
+  PBFS_CHECK(batch_runner != nullptr &&
+             batch_runner->multi_source() != nullptr);
   if (options_.enable_sketches) {
     rebuilder_ = std::make_unique<SketchRebuilder>(
         &snapshots_, options_.sketch, options_.sketch_workers,
@@ -205,18 +218,17 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
   // makes snapshot versions monotone in queue order, so the dispatcher's
   // same-version batching never splits more than one version boundary.
   SnapshotManager::Ref snapshot = snapshots_.Pin();
-  Level bound_hint = kMaxLevel;
   if (query.type == QueryType::kPointToPointDistance &&
       rebuilder_ != nullptr && IsValid(query) &&
       TryAnswerFromSketchLocked(query, owns_trace, snapshot, submission.id,
-                                promise, &bound_hint)) {
+                                promise)) {
     // Answered inline from a fresh sketch: no batch slot, no
     // outstanding_ — the query was never pending.
     return submission;
   }
   ++outstanding_;
   PendingQuery pending{submission.id, std::move(query), std::move(promise),
-                       std::move(snapshot), bound_hint, owns_trace};
+                       std::move(snapshot), owns_trace};
   pending_.push_back(std::move(pending));
   work_cv_.notify_one();
   return submission;
@@ -224,7 +236,7 @@ QueryEngine::Submission QueryEngine::Submit(Query query) {
 
 bool QueryEngine::TryAnswerFromSketchLocked(
     Query& query, bool owns_trace, const SnapshotManager::Ref& snapshot,
-    uint64_t id, std::promise<QueryResult>& promise, Level* bound_hint) {
+    uint64_t id, std::promise<QueryResult>& promise) {
   std::shared_ptr<const ClusterSketch> sketch = rebuilder_->Current();
   if (sketch == nullptr ||
       sketch->content_version() != snapshot->content_version()) {
@@ -242,10 +254,8 @@ bool QueryEngine::TryAnswerFromSketchLocked(
   if (bounds.upper == kLevelUnreached ||
       bounds.upper - bounds.lower > query.tolerance) {
     // Fresh but too loose for this query's tolerance (or no cluster
-    // connects the pair): traverse, with the upper bound capping the
-    // traversal radius.
+    // connects the pair): traverse.
     ++stats_.sketch_fallbacks;
-    if (bounds.upper != kLevelUnreached) *bound_hint = bounds.upper;
     return false;
   }
   ++stats_.sketch_hits;
@@ -523,22 +533,12 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   const uint64_t content_version = batch.front().snapshot->content_version();
   batch_span.AddArg("snapshot", content_version);
   std::vector<Vertex> sources(count);
-  // Bounded traversal when every query in the batch is radius-bounded:
-  // k-hop queries bound by their radius, sketch-fallback p2p queries by
-  // the sketch upper bound captured at admission (the true distance
-  // cannot exceed it).
-  Level needed = 0;
+  size_t level_rows = 0;
   double inject_delay_ms = 0;
   for (size_t i = 0; i < count; ++i) {
     const Query& q = batch[i].query;
     sources[i] = q.source;
-    Level radius = kMaxLevel;
-    if (q.type == QueryType::kKHop) {
-      radius = q.max_hops;
-    } else if (q.type == QueryType::kPointToPointDistance) {
-      radius = batch[i].bound_hint;
-    }
-    needed = std::max(needed, radius);
+    if (q.type == QueryType::kLevels) ++level_rows;
     inject_delay_ms = std::max(inject_delay_ms, q.debug_delay_ms);
   }
   if (inject_delay_ms > 0) {
@@ -547,8 +547,6 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(inject_delay_ms));
   }
-  BfsOptions options = options_.bfs;
-  options.max_level = std::min(options_.bfs.max_level, needed);
 
   BfsVariantRunner* runner;
   int width;
@@ -568,15 +566,33 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     q.query.trace.batch_width = static_cast<uint32_t>(width);
     q.query.trace.batch_seq = batch_seq;
   }
-  // resize, not assign: every kernel overwrites all count * n entries
-  // (unreached vertices get kLevelUnreached), so re-zeroing the reused
-  // buffer would only add a full memory pass per batch.
-  levels_.resize(count * static_cast<size_t>(n));
-  runner->ComputeLevels(sources, options, levels_.data());
+  // A lone query, or a batch of kLevels queries only, runs the
+  // full-levels kernel into one row per query; any other batch runs
+  // into sink_, with rows only for its kLevels queries.
+  const bool full_rows = count == 1 || level_rows == count;
+  if (full_rows) {
+    // resize, not assign: the kernels overwrite every entry of a row
+    // (unreached vertices get kLevelUnreached), so re-zeroing the
+    // reused buffer would only add a memory pass per batch.
+    levels_.resize(count * static_cast<size_t>(n));
+    // The single-source kernel has no sink to end it early: a lone
+    // k-hop query caps the traversal at its own radius.
+    BfsOptions options = options_.bfs;
+    if (count == 1 && batch[0].query.type == QueryType::kKHop) {
+      options.max_level = std::min(options.max_level, batch[0].query.max_hops);
+    }
+    runner->ComputeLevels(sources, options, levels_.data());
+  } else {
+    RunIntoSink(batch, level_rows, sources, runner->multi_source());
+  }
   const int64_t kernel_done_ns = NowNanos();
+  size_t row = 0;  // levels_ holds the rows in batch order
   for (size_t i = 0; i < count; ++i) {
+    const Query& q = batch[i].query;
     QueryResult result =
-        ExtractResult(batch[i].query, levels_.data() + i * n);
+        full_rows || q.type == QueryType::kLevels
+            ? ExtractResult(q, levels_.data() + row++ * n)
+            : SinkResult(q, static_cast<int>(i));
     result.snapshot_version = content_version;
     obs::QueryTraceRecord& trace = batch[i].query.trace;
     trace.bound(obs::QueryStageBound::kKernelDone) = kernel_done_ns;
@@ -586,6 +602,74 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   }
   return width;
 }
+
+void QueryEngine::RunIntoSink(const std::vector<PendingQuery>& batch,
+                              size_t level_rows,
+                              std::span<const Vertex> sources,
+                              MultiSourceBfsBase* kernel) {
+  const Vertex n = num_vertices_;
+  const Graph& graph = runners_snapshot_->graph();
+  levels_.resize(level_rows * static_cast<size_t>(n));
+  sink_.Reset(n, executor_->num_workers());
+  size_t row = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Query& q = batch[i].query;
+    const int slot = static_cast<int>(i);
+    switch (q.type) {
+      case QueryType::kLevels:
+        sink_.AddRow(slot, levels_.data() + row++ * n);
+        break;
+      case QueryType::kKHop:
+        sink_.AddKHop(slot, q.max_hops);
+        break;
+      case QueryType::kDistances:
+      case QueryType::kReachability:
+      case QueryType::kPointToPointDistance:
+        for (Vertex t : q.targets) {
+          if (MayReach(graph, q.source, t)) sink_.AddTarget(slot, t);
+        }
+        break;
+    }
+  }
+  sink_.Seal();
+  kernel->Run(sources, options_.bfs, sink_);
+}
+
+namespace {
+
+// kDistances, kReachability and kPointToPointDistance answers, given
+// the distance of each target.
+template <typename LevelOf>
+void FillTargetAnswers(const Query& query, LevelOf&& level_of,
+                       QueryResult* result) {
+  switch (query.type) {
+    case QueryType::kDistances:
+      result->levels.reserve(query.targets.size());
+      for (Vertex t : query.targets) result->levels.push_back(level_of(t));
+      break;
+    case QueryType::kReachability:
+      result->reachable.reserve(query.targets.size());
+      for (Vertex t : query.targets) {
+        result->reachable.push_back(level_of(t) != kLevelUnreached ? 1 : 0);
+      }
+      break;
+    case QueryType::kPointToPointDistance: {
+      // Exact path (sketch miss, stale sketch, or sketches disabled):
+      // the traversal pins the bounds on the true distance.
+      const Level distance = level_of(query.targets[0]);
+      result->distance = distance;
+      result->distance_bounds.lower = distance;
+      result->distance_bounds.upper = distance;
+      break;
+    }
+    case QueryType::kLevels:
+    case QueryType::kKHop:
+      PBFS_CHECK(false);
+      break;
+  }
+}
+
+}  // namespace
 
 QueryResult QueryEngine::ExtractResult(const Query& query,
                                        const Level* row) const {
@@ -605,30 +689,31 @@ QueryResult QueryEngine::ExtractResult(const Query& query,
       result.vertices_reached = reached;
       break;
     }
-    case QueryType::kDistances:
-      result.levels.reserve(query.targets.size());
-      for (Vertex t : query.targets) result.levels.push_back(row[t]);
-      break;
-    case QueryType::kReachability:
-      result.reachable.reserve(query.targets.size());
-      for (Vertex t : query.targets) {
-        result.reachable.push_back(row[t] != kLevelUnreached ? 1 : 0);
-      }
-      break;
     case QueryType::kKHop:
       result.khop_sizes = KHopSizesFromLevels(
           {row, static_cast<size_t>(n)}, query.max_hops);
       break;
-    case QueryType::kPointToPointDistance: {
-      // Exact path (sketch miss, stale sketch, or sketches disabled):
-      // the traversal pins the bounds on the true distance.
-      const Level distance = row[query.targets[0]];
-      result.distance = distance;
-      result.distance_bounds.lower = distance;
-      result.distance_bounds.upper = distance;
+    default:
+      FillTargetAnswers(query, [row](Vertex t) { return row[t]; }, &result);
       break;
-    }
   }
+  return result;
+}
+
+QueryResult QueryEngine::SinkResult(const Query& query, int slot) const {
+  QueryResult result;
+  if (query.type == QueryType::kKHop) {
+    result.khop_sizes = sink_.KHopSizes(slot, query.max_hops);
+    return result;
+  }
+  const Graph& graph = runners_snapshot_->graph();
+  FillTargetAnswers(
+      query,
+      [&](Vertex t) {
+        return MayReach(graph, query.source, t) ? sink_.TargetLevel(slot, t)
+                                                : kLevelUnreached;
+      },
+      &result);
   return result;
 }
 

@@ -9,8 +9,10 @@
 // typed Query and returns a future; a dispatcher thread coalesces
 // whatever is pending into one batch, picks the smallest supported
 // bitset width that fits (falling back to a single-source kernel for a
-// lone query), runs it on the shared Executor, and fans the batched
-// level output back out into per-query results.
+// lone query), runs it on the shared Executor, and fans the batch's
+// result sink back out into per-query results. Point queries read
+// their few answers from the sink, which ends the traversal once they
+// are known; only kLevels queries get whole level rows.
 //
 // Dynamic graphs: ApplyUpdates() mutates the edge set in batches. Every
 // query resolves against the immutable snapshot current at admission
@@ -41,6 +43,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -48,6 +51,7 @@
 
 #include "bfs/common.h"
 #include "bfs/registry.h"
+#include "bfs/result_sink.h"
 #include "engine/query.h"
 #include "graph/compactor.h"
 #include "graph/delta.h"
@@ -66,7 +70,8 @@ class MetricsRegistry;
 
 struct QueryEngineOptions {
   // Registry names (AllVariantNames) of the kernel used for coalesced
-  // batches of >= 2 queries and of the fallback for a lone query.
+  // batches of >= 2 queries (a multi-source variant: msbfs, jfq_msbfs
+  // or mspbfs) and of the fallback for a lone query.
   std::string batch_variant = "mspbfs";
   std::string single_variant = "smspbfs_bit";
   // Cap on the adaptive batch width; one of kSupportedWidths.
@@ -90,7 +95,8 @@ struct QueryEngineOptions {
   // against an in-flight cycle can be exercised deterministically.
   double maintenance_debug_delay_ms = 0;
   // Traversal tuning applied to every dispatch. max_level acts as an
-  // engine-wide radius cap; k-hop-only batches tighten it further.
+  // engine-wide radius cap; a batch without kLevels queries also stops
+  // as soon as its answers are known (bfs/result_sink.h).
   BfsOptions bfs;
 };
 
@@ -224,10 +230,6 @@ class QueryEngine {
     // The snapshot current at admission; the whole batch containing
     // this query traverses it.
     SnapshotManager::Ref snapshot;
-    // kPointToPointDistance fallback: the sketch upper bound captured
-    // at admission caps the traversal radius (kMaxLevel = unbounded —
-    // no fresh sketch, or no cluster connecting the pair).
-    Level bound_hint = kMaxLevel;
     // True when Submit opened query.trace (an in-process caller): the
     // engine then closes the record at completion.
     bool owns_trace = false;
@@ -252,18 +254,26 @@ class QueryEngine {
   void BindRunners(const SnapshotManager::Ref& snap);
   BfsVariantRunner* RunnerForWidth(int width);
   bool IsValid(const Query& query) const;
+  // Runs `batch` (level_rows of them kLevels) on `kernel` into sink_,
+  // with the kLevels rows in levels_ in batch order.
+  void RunIntoSink(const std::vector<PendingQuery>& batch, size_t level_rows,
+                   std::span<const Vertex> sources,
+                   MultiSourceBfsBase* kernel);
+  // The answer read off one full level row.
   QueryResult ExtractResult(const Query& query, const Level* row) const;
+  // The answer of a non-kLevels query at batch slot `slot`, read off
+  // sink_ after RunIntoSink.
+  QueryResult SinkResult(const Query& query, int slot) const;
   void CompleteLocked(PendingQuery& pending, QueryStatus status);
   // The sketch fast path, called by Submit() under mutex_ for valid
   // p2p queries. True when the query was answered inline (promise
   // fulfilled, counters, latency and trace recorded, never enqueued);
-  // false when it must traverse — *bound_hint then carries the sketch
-  // upper bound when a fresh sketch was consulted.
+  // false when it must traverse. A traversed p2p query stops its batch
+  // once its target resolves, at or below the sketch's upper bound.
   bool TryAnswerFromSketchLocked(Query& query, bool owns_trace,
                                  const SnapshotManager::Ref& snapshot,
                                  uint64_t id,
-                                 std::promise<QueryResult>& promise,
-                                 Level* bound_hint);
+                                 std::promise<QueryResult>& promise);
 
   // Appends the engine's exposition families. Called by the registered
   // collector under the registry lock; takes mutex_ itself, so callers
@@ -286,14 +296,17 @@ class QueryEngine {
   std::unique_ptr<SketchRebuilder> rebuilder_;
 
   // Dispatcher-thread-only state: kernel instances cached per width and
-  // bound to runners_snapshot_'s graph, plus the reusable batched level
-  // buffer. The pin keeps the bound graph alive across batches.
+  // bound to runners_snapshot_'s graph, the reusable level rows (one
+  // per kLevels query of the batch, or one for a lone query) and the
+  // batch result sink. The pin keeps the bound graph alive across
+  // batches.
   SnapshotManager::Ref runners_snapshot_;
   uint64_t runners_version_ = 0;
   std::unique_ptr<BfsVariantRunner> single_runner_;
   std::vector<std::pair<int, std::unique_ptr<BfsVariantRunner>>>
       batch_runners_;
   std::vector<Level> levels_;
+  BatchSink sink_;
   // Dispatch sequence number linking per-query kernel stage spans to
   // the engine.batch span they rode (obs/query_trace.h).
   uint64_t batch_seq_ = 0;

@@ -1,11 +1,16 @@
 // Bounded-depth traversal (BfsOptions::max_level): every kernel must
 // visit exactly the vertices within the radius and report levels capped
-// at the bound.
+// at the bound. The multi-source batch sink (bfs/result_sink.h) ends a
+// traversal on its own once its answers are known.
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
+#include "algorithms/khop.h"
 #include "bfs/beamer.h"
 #include "bfs/multi_source.h"
+#include "bfs/result_sink.h"
 #include "bfs/single_source.h"
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -120,6 +125,102 @@ TEST(BoundedBfsTest, ZeroRadiusVisitsOnlySource) {
   EXPECT_EQ(r.iterations, 0);
   EXPECT_EQ(levels[0], 0);
   EXPECT_EQ(levels[1], kLevelUnreached);
+}
+
+// The engine's batch sink ends a traversal at its last target: on a
+// path, a width-64 batch whose targets all lie within 3 hops of their
+// sources runs at most 3 levels, while the full-levels entry point on
+// the same batch still runs the whole component and writes the oracle's
+// rows.
+TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
+  const Vertex n = 1000;
+  Graph g = Path(n);
+  std::vector<Vertex> sources;
+  for (Vertex i = 0; i < 64; ++i) sources.push_back(i * 15);
+  WorkerPool pool({.num_workers = 3, .pin_threads = false});
+
+  auto run_targets = [&](MultiSourceBfsBase* bfs, int num_workers,
+                         const char* name) {
+    BatchSink sink;
+    sink.Reset(n, num_workers);
+    for (int i = 0; i < 64; ++i) {
+      const Vertex s = sources[i];
+      sink.AddTarget(i, s);      // the source itself
+      sink.AddTarget(i, s + 3);  // the farthest target
+      sink.AddTarget(i, s + 1);
+      sink.AddTarget(i, s + 1);  // repeated
+      if (s >= 2) sink.AddTarget(i, s - 2);
+    }
+    sink.Seal();
+    MsBfsResult r = bfs->Run(sources, BfsOptions{}, sink);
+    EXPECT_LE(r.iterations, 3) << name;
+    for (int i = 0; i < 64; ++i) {
+      const Vertex s = sources[i];
+      EXPECT_EQ(sink.TargetLevel(i, s), 0) << name << " slot " << i;
+      EXPECT_EQ(sink.TargetLevel(i, s + 1), 1) << name << " slot " << i;
+      EXPECT_EQ(sink.TargetLevel(i, s + 3), 3) << name << " slot " << i;
+      if (s >= 2) {
+        EXPECT_EQ(sink.TargetLevel(i, s - 2), 2) << name << " slot " << i;
+      }
+    }
+  };
+  auto mspbfs = MakeMsPbfs(g, 64, &pool);
+  run_targets(mspbfs.get(), pool.num_workers(), "ms-pbfs");
+  auto msbfs = MakeMsBfs(g, 64);
+  run_targets(msbfs.get(), 1, "ms-bfs");
+  auto jfq = MakeJfqMsBfs(g, 64);
+  run_targets(jfq.get(), 1, "jfq");
+
+  // Full rows after a sink run on the same instance: the oracle's rows,
+  // and every level of the component (source 0 is 999 hops from the
+  // far end).
+  std::vector<Level> levels(sources.size() * n);
+  MsBfsResult full = mspbfs->Run(sources, BfsOptions{}, levels.data());
+  EXPECT_EQ(full.iterations, static_cast<int>(n) - 1);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    std::vector<Level> got(levels.begin() + i * n,
+                           levels.begin() + (i + 1) * n);
+    EXPECT_EQ(testing_util::FirstLevelMismatch(
+                  testing_util::ReferenceLevels(g, sources[i]), got),
+              -1)
+        << "source index " << i;
+  }
+}
+
+// k-hop counts and level rows share one batch with targets: the counts
+// match the rows, and a row slot keeps the traversal running to the end.
+TEST(ResultSinkTest, KHopCountsAndRowsMatchFullLevels) {
+  Graph g = SocialNetwork({.num_vertices = 2048, .avg_degree = 8.0,
+                           .seed = 31});
+  const Vertex n = g.num_vertices();
+  std::vector<Vertex> sources = PickSources(g, 40, 3);
+  WorkerPool pool({.num_workers = 3, .pin_threads = false});
+  auto bfs = MakeMsPbfs(g, 64, &pool);
+  std::vector<Level> full(sources.size() * n);
+  const MsBfsResult full_result =
+      bfs->Run(sources, BfsOptions{}, full.data());
+
+  BatchSink sink;
+  sink.Reset(n, pool.num_workers());
+  std::vector<Level> row(n);
+  for (int i = 0; i < static_cast<int>(sources.size()); ++i) {
+    if (i == 7) {
+      sink.AddRow(i, row.data());
+    } else {
+      sink.AddKHop(i, static_cast<Level>(i % 4));
+    }
+  }
+  sink.Seal();
+  const MsBfsResult r = bfs->Run(sources, BfsOptions{}, sink);
+  EXPECT_EQ(r.iterations, full_result.iterations);
+  EXPECT_TRUE(std::equal(row.begin(), row.end(), full.begin() + 7 * n));
+  for (int i = 0; i < static_cast<int>(sources.size()); ++i) {
+    if (i == 7) continue;
+    const Level radius = static_cast<Level>(i % 4);
+    EXPECT_EQ(sink.KHopSizes(i, radius),
+              KHopSizesFromLevels({full.data() + i * n, n}, radius))
+        << "slot " << i;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -99,6 +100,174 @@ TEST(QueryEngineDifferentialTest, ConcurrentSubmissionMatchesOracle) {
       QueryEngineStats stats = engine.Stats();
       EXPECT_EQ(stats.queries_admitted, 16u);
       EXPECT_EQ(stats.queries_completed, 16u);
+    }
+  }
+}
+
+// One generated query of any type plus the oracle row of its source.
+struct MixedQuery {
+  Query query;
+  std::vector<Level> expected;  // SequentialBfs from query.source
+};
+
+// A query of a random type whose targets include the source itself, a
+// repeat, and (when the graph has one) a vertex the source cannot reach.
+MixedQuery MakeMixedQuery(const Graph& graph, Rng& rng) {
+  const Vertex n = graph.num_vertices();
+  MixedQuery mq;
+  Query& q = mq.query;
+  q.source = static_cast<Vertex>(rng.NextBounded(n));
+  mq.expected.resize(n);
+  SequentialBfs(graph, q.source, mq.expected.data());
+  Vertex unreachable = q.source;
+  for (int tries = 0; tries < 16; ++tries) {
+    const Vertex v = static_cast<Vertex>(rng.NextBounded(n));
+    if (mq.expected[v] == kLevelUnreached) {
+      unreachable = v;
+      break;
+    }
+  }
+  const Vertex random_target = static_cast<Vertex>(rng.NextBounded(n));
+  static constexpr QueryType kTypes[] = {
+      QueryType::kLevels, QueryType::kDistances, QueryType::kReachability,
+      QueryType::kKHop, QueryType::kPointToPointDistance};
+  q.type = kTypes[rng.NextBounded(5)];
+  switch (q.type) {
+    case QueryType::kLevels:
+      break;
+    case QueryType::kDistances:
+    case QueryType::kReachability:
+      q.targets = {random_target, q.source, unreachable, random_target};
+      break;
+    case QueryType::kKHop:
+      q.max_hops = static_cast<Level>(rng.NextBounded(4));
+      break;
+    case QueryType::kPointToPointDistance: {
+      const Vertex picks[] = {q.source, unreachable, random_target,
+                              random_target};
+      q.targets = {picks[rng.NextBounded(4)]};
+      q.tolerance = 0;
+      break;
+    }
+  }
+  return mq;
+}
+
+// Diffs one answer against the oracle row of its source.
+void CheckMixedAnswer(const MixedQuery& mq, const QueryResult& result,
+                      const std::string& note) {
+  const Query& q = mq.query;
+  const std::vector<Level>& expected = mq.expected;
+  ASSERT_EQ(result.status, QueryStatus::kOk) << note;
+  switch (q.type) {
+    case QueryType::kLevels: {
+      ASSERT_EQ(result.levels, expected) << note;
+      uint64_t reached = 0;
+      for (Level l : expected) reached += l != kLevelUnreached ? 1 : 0;
+      EXPECT_EQ(result.vertices_reached, reached) << note;
+      break;
+    }
+    case QueryType::kDistances:
+      ASSERT_EQ(result.levels.size(), q.targets.size()) << note;
+      for (size_t i = 0; i < q.targets.size(); ++i) {
+        EXPECT_EQ(result.levels[i], expected[q.targets[i]])
+            << note << " target " << q.targets[i];
+      }
+      break;
+    case QueryType::kReachability:
+      ASSERT_EQ(result.reachable.size(), q.targets.size()) << note;
+      for (size_t i = 0; i < q.targets.size(); ++i) {
+        EXPECT_EQ(result.reachable[i],
+                  expected[q.targets[i]] != kLevelUnreached ? 1 : 0)
+            << note << " target " << q.targets[i];
+      }
+      break;
+    case QueryType::kKHop:
+      EXPECT_EQ(result.khop_sizes,
+                KHopSizesFromLevels({expected.data(), expected.size()},
+                                    q.max_hops))
+          << note << " max_hops " << q.max_hops;
+      break;
+    case QueryType::kPointToPointDistance:
+      // Tolerance 0: a sketch answer is exact too.
+      EXPECT_EQ(result.distance, expected[q.targets[0]])
+          << note << " target " << q.targets[0];
+      break;
+  }
+}
+
+// Every query type in one engine, under concurrency: four clients each
+// submit a burst while a stalled batch holds the dispatcher, so the
+// next batch is wider than 64 and mixes all five types (width 128), then
+// submit one query at a time (small batches and lone queries). Runs
+// with sketches off and on (tolerance 0: p2p answers come from the
+// sketch when its bounds pinch and from the traversal otherwise).
+TEST(QueryEngineDifferentialTest, MixedTypeBatchesMatchOracle) {
+  WorkerPool pool({.num_workers = 4, .pin_threads = false});
+  constexpr int kClients = 4;
+  constexpr int kBurst = 28;   // per client: up to 112 pending > 64
+  constexpr int kSingles = 4;  // per client, submitted one at a time
+  for (int trial = 0; trial < diff::NumTrials(); ++trial) {
+    const uint64_t seed = diff::TrialSeed(trial);
+    SCOPED_TRACE(ReproNote(seed));
+    for (const CorpusGraph& gc : MakeCorpus(seed)) {
+      if (gc.graph.num_vertices() == 0) continue;
+      for (bool sketches : {false, true}) {
+        const std::string note = "graph=" + gc.name +
+                                 (sketches ? " sketches=on " : " ") +
+                                 ReproNote(seed);
+        QueryEngineOptions options;
+        options.coalesce_wait_ms = 0.5;
+        options.bfs.split_size = 128;  // small tasks so stealing happens
+        options.enable_sketches = sketches;
+        options.sketch = {.num_clusters = 4, .cluster_size = 16};
+        options.sketch_workers = 1;
+        QueryEngine engine(gc.graph, &pool, options);
+        engine.WaitSketchIdle();
+
+        // Holds the dispatcher while the bursts pile up (a traversed
+        // type: a sketch could answer a p2p query inline).
+        Rng stall_rng(SplitMix64(seed ^ 0x5a11ull));
+        MixedQuery stall = MakeMixedQuery(gc.graph, stall_rng);
+        stall.query.type = QueryType::kLevels;
+        stall.query.debug_delay_ms = 100;
+        QueryEngine::Submission stall_sub = engine.Submit(stall.query);
+        while (engine.QueueDepth() != 0) std::this_thread::yield();
+
+        uint32_t widest = 0;
+        std::mutex widest_mu;
+        std::vector<std::thread> clients;
+        for (int c = 0; c < kClients; ++c) {
+          clients.emplace_back([&, c] {
+            Rng rng(SplitMix64(seed + static_cast<uint64_t>(c) * 0x9e37ull));
+            std::vector<MixedQuery> burst;
+            std::vector<QueryEngine::Submission> subs;
+            for (int q = 0; q < kBurst; ++q) {
+              burst.push_back(MakeMixedQuery(gc.graph, rng));
+              subs.push_back(engine.Submit(burst.back().query));
+            }
+            for (int q = 0; q < kBurst; ++q) {
+              QueryResult result = subs[q].result.get();
+              CheckMixedAnswer(burst[q], result, note);
+              std::lock_guard<std::mutex> lock(widest_mu);
+              widest = std::max(widest, result.trace.batch_width);
+            }
+            for (int q = 0; q < kSingles; ++q) {
+              MixedQuery mq = MakeMixedQuery(gc.graph, rng);
+              CheckMixedAnswer(mq, engine.Submit(mq.query).result.get(),
+                               note);
+            }
+          });
+        }
+        for (std::thread& t : clients) t.join();
+        CheckMixedAnswer(stall, stall_sub.result.get(), note);
+        EXPECT_EQ(widest, 128u) << note;
+        engine.Drain();
+        const QueryEngineStats stats = engine.Stats();
+        EXPECT_EQ(stats.queries_completed,
+                  1u + kClients * (kBurst + kSingles))
+            << note;
+      }
     }
   }
 }
