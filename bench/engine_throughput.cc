@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   flags.AddInt64("threads", &threads, "worker threads");
   flags.AddInt64("trials", &trials, "trials (median reported)");
   flags.AddString("batch_variant", &batch_variant,
-                  "registry name of the engine's batch kernel");
+                  "registry name of the engine's batch kernel (a "
+                  "multi-source variant: msbfs, jfq_msbfs or mspbfs)");
   flags.AddString("json_out", &json_out, "machine-readable output path");
   pbfs::obs::ObsCli obs_cli("engine_throughput");
   obs_cli.Register(&flags);
@@ -67,6 +68,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(graph.num_edges()));
 
   pbfs::WorkerPool pool({.num_workers = static_cast<int>(threads)});
+  // The engine aborts on a batch variant that is not multi-source; say
+  // why here instead.
+  auto batch_runner = pbfs::FindVariantRunner(batch_variant, graph, &pool);
+  if (batch_runner == nullptr || !batch_runner->desc().multi_source) {
+    std::fprintf(stderr,
+                 "--batch_variant=%s: not a multi-source variant (msbfs, "
+                 "jfq_msbfs or mspbfs)\n",
+                 batch_variant.c_str());
+    return 1;
+  }
+  batch_runner.reset();
   obs_cli.AuditPlacement(graph, &pool, pbfs::BfsOptions{}.split_size);
   pbfs::Rng rng(11);
   std::vector<pbfs::Vertex> sources;

@@ -153,13 +153,14 @@ BENCHMARK(BM_FullMsPbfsBatch)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
     ->Arg(1024)->ArgName("width");
 
 // One width-64 MS-PBFS batch on a 2^16-vertex social graph, delivered
-// to the full-levels sink (64 rows of |V| levels, what the query engine
-// wrote for every batch before it had a batch sink) or to the engine's
-// batch sink with 4 targets per slot, which ends the batch at its last
-// target. The in-process A/B for result-sink changes; `levels` reports
-// the levels the batch ran.
+// to the full-levels sink (arg 0: 64 rows of |V| levels, what the query
+// engine wrote for every batch before it had a batch sink), to the
+// engine's batch sink with 4 targets per slot, which ends the batch at
+// its last target (arg 1), or to the batch sink with a row for every
+// slot, an all-kLevels batch (arg 2). The in-process A/B for result-sink
+// changes; `levels` reports the levels the batch ran.
 void BM_MsPbfsSink(benchmark::State& state) {
-  const bool targets = state.range(0) == 1;
+  const int mode = static_cast<int>(state.range(0));
   static const Graph g = SocialNetwork(
       {.num_vertices = 1 << 16, .avg_degree = 12.0, .seed = 5});
   const Vertex n = g.num_vertices();
@@ -187,20 +188,27 @@ void BM_MsPbfsSink(benchmark::State& state) {
   BatchSink sink;
   MsBfsResult r;
   for (auto _ : state) {
-    if (targets) {
+    if (mode == 0) {
+      r = bfs->Run(sources, BfsOptions{}, levels.data());
+    } else {
       sink.Reset(n, serial.num_workers());
-      for (int i = 0; i < 64 * 4; ++i) sink.AddTarget(i / 4, picks[i]);
+      for (int i = 0; i < 64; ++i) {
+        if (mode == 1) {
+          for (int k = 0; k < 4; ++k) sink.AddTarget(i, picks[i * 4 + k]);
+        } else {
+          sink.AddRow(i, levels.data() + static_cast<size_t>(i) * n);
+        }
+      }
       sink.Seal();
       r = bfs->Run(sources, BfsOptions{}, sink);
-    } else {
-      r = bfs->Run(sources, BfsOptions{}, levels.data());
     }
     benchmark::DoNotOptimize(r);
     benchmark::ClobberMemory();
   }
   state.counters["levels"] = r.iterations;
 }
-BENCHMARK(BM_MsPbfsSink)->Arg(0)->Arg(1)->ArgName("full0_targets1")
+BENCHMARK(BM_MsPbfsSink)->Arg(0)->Arg(1)->Arg(2)
+    ->ArgName("full0_targets1_rows2")
     ->Unit(benchmark::kMillisecond);
 
 void BM_SequentialMsBfsBaseline(benchmark::State& state) {

@@ -31,7 +31,13 @@ void BatchSink::AddTarget(int slot, Vertex target) {
   PBFS_CHECK(slot >= 0 && slot < kMaxSlots && target < n_);
   slots_ = std::max(slots_, slot + 1);
   target_mask_[target] = 1;
-  targets_.push_back({target, slot, kLevelUnreached});
+  targets_.push_back({target, slot, kLevelUnreached, /*awaited=*/true});
+}
+
+void BatchSink::AddUnreachableTarget(int slot, Vertex target) {
+  PBFS_CHECK(slot >= 0 && slot < kMaxSlots && target < n_);
+  slots_ = std::max(slots_, slot + 1);
+  targets_.push_back({target, slot, kLevelUnreached, /*awaited=*/false});
 }
 
 void BatchSink::AddKHop(int slot, Level radius) {
@@ -64,9 +70,8 @@ void BatchSink::Seal() {
                                       a.slot == b.slot;
                              }),
                  targets_.end());
-  unresolved_.resize(targets_.size());
   for (size_t i = 0; i < targets_.size(); ++i) {
-    unresolved_[i] = static_cast<uint32_t>(i);
+    if (targets_[i].awaited) unresolved_.push_back(static_cast<uint32_t>(i));
   }
 }
 

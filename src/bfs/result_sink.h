@@ -87,7 +87,8 @@ MsBfsResult RunWithLevels(Level* levels, size_t slots, Vertex n,
 // The query engine's sink for one batch. Each slot (bit position, i.e.
 // the query at that index of the batch) asks for any mix of
 //  * the distances of listed targets (AddTarget), kept in a table of
-//    (target, slot) entries behind an n-byte target mask;
+//    (target, slot) entries behind an n-byte target mask, and targets
+//    the caller already knows unreachable (AddUnreachableTarget);
 //  * per-depth discovery counts up to a radius (AddKHop), counted per
 //    worker so no two threads write one counter;
 //  * a whole level row (AddRow), written only for such slots.
@@ -105,6 +106,9 @@ class BatchSink final {
   // bounds the worker ids Visit may see.
   void Reset(Vertex n, int num_workers);
   void AddTarget(int slot, Vertex target);
+  // A target the caller knows slot's source cannot reach: answered
+  // kLevelUnreached without holding the batch open for it.
+  void AddUnreachableTarget(int slot, Vertex target);
   void AddKHop(int slot, Level radius);
   // `row` must hold n entries; it is filled with kLevelUnreached here.
   void AddRow(int slot, Level* row);
@@ -131,8 +135,8 @@ class BatchSink final {
   bool Done(Level depth);
 
   // Distance from slot's source to `target` (kLevelUnreached when the
-  // traversal never reached it); `target` must have been added for
-  // `slot`.
+  // traversal never reached it or it was added as unreachable);
+  // `target` must have been added for `slot`.
   Level TargetLevel(int slot, Vertex target) const;
   // Cumulative neighborhood sizes for hops 0..max_hops, the
   // KHopSizesFromLevels shape, for a slot added with AddKHop.
@@ -145,6 +149,7 @@ class BatchSink final {
     Vertex vertex;
     int slot;
     Level level;
+    bool awaited;  // false for AddUnreachableTarget entries
   };
 
   template <typename Fn>
@@ -166,7 +171,7 @@ class BatchSink final {
 
   std::vector<uint8_t> target_mask_;  // n bytes; 1 = some slot's target
   std::vector<Target> targets_;       // sorted by (vertex, slot) once sealed
-  std::vector<uint32_t> unresolved_;  // indices into targets_
+  std::vector<uint32_t> unresolved_;  // awaited indices into targets_
 
   std::vector<std::pair<int, Level>> khops_;  // (slot, radius)
   Level khop_depth_ = 0;  // largest radius

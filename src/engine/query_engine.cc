@@ -44,8 +44,8 @@ void HandBack(uint64_t id, const pbfs::obs::QueryTraceRecord& trace,
 
 // False when `target` is certainly unreachable from `source` without a
 // traversal: a vertex without edges reaches only itself. The batch sink
-// is not asked for such targets, so an isolated endpoint does not hold
-// its batch to the component's last level.
+// records such targets as unreachable, so an isolated endpoint does not
+// hold its batch to the component's last level.
 bool MayReach(const pbfs::Graph& graph, pbfs::Vertex source,
               pbfs::Vertex target) {
   return source == target ||
@@ -569,14 +569,23 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   // A lone query, or a batch of kLevels queries only, runs the
   // full-levels kernel into one row per query; any other batch runs
   // into sink_, with rows only for its kLevels queries.
+  //  * All-kLevels batches skip sink_ because its rows read slower: a
+  //    40-query kLevels burst on the perfbench levels_kron graph took
+  //    30.9 ms median on the full-levels kernel against 33.2 ms through
+  //    sink_, and 44.6 against 47.0 ms in a second set (10 interleaved
+  //    pairs each, full-levels faster in 7 of each; 4 workers).
+  //  * A lone query runs the single-source kernel, which has no sink:
+  //    a lone target query traverses its source's whole component, and
+  //    a lone k-hop query caps the traversal at its radius. A lone
+  //    sketch-fallback p2p query on the perfbench point_static graph
+  //    takes 3.6 ms median this way, 2.7 ms when capped at the sketch's
+  //    upper bound, and 5.6 ms through sink_ on the width-64 kernel.
   const bool full_rows = count == 1 || level_rows == count;
   if (full_rows) {
     // resize, not assign: the kernels overwrite every entry of a row
     // (unreached vertices get kLevelUnreached), so re-zeroing the
     // reused buffer would only add a memory pass per batch.
     levels_.resize(count * static_cast<size_t>(n));
-    // The single-source kernel has no sink to end it early: a lone
-    // k-hop query caps the traversal at its own radius.
     BfsOptions options = options_.bfs;
     if (count == 1 && batch[0].query.type == QueryType::kKHop) {
       options.max_level = std::min(options.max_level, batch[0].query.max_hops);
@@ -626,7 +635,11 @@ void QueryEngine::RunIntoSink(const std::vector<PendingQuery>& batch,
       case QueryType::kReachability:
       case QueryType::kPointToPointDistance:
         for (Vertex t : q.targets) {
-          if (MayReach(graph, q.source, t)) sink_.AddTarget(slot, t);
+          if (MayReach(graph, q.source, t)) {
+            sink_.AddTarget(slot, t);
+          } else {
+            sink_.AddUnreachableTarget(slot, t);
+          }
         }
         break;
     }
@@ -706,14 +719,8 @@ QueryResult QueryEngine::SinkResult(const Query& query, int slot) const {
     result.khop_sizes = sink_.KHopSizes(slot, query.max_hops);
     return result;
   }
-  const Graph& graph = runners_snapshot_->graph();
   FillTargetAnswers(
-      query,
-      [&](Vertex t) {
-        return MayReach(graph, query.source, t) ? sink_.TargetLevel(slot, t)
-                                                : kLevelUnreached;
-      },
-      &result);
+      query, [&](Vertex t) { return sink_.TargetLevel(slot, t); }, &result);
   return result;
 }
 

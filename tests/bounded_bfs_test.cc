@@ -131,7 +131,8 @@ TEST(BoundedBfsTest, ZeroRadiusVisitsOnlySource) {
 // path, a width-64 batch whose targets all lie within 3 hops of their
 // sources runs at most 3 levels, while the full-levels entry point on
 // the same batch still runs the whole component and writes the oracle's
-// rows.
+// rows. A target added as unreachable is answered so and does not hold
+// the batch open, even where the traversal would reach it.
 TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
   const Vertex n = 1000;
   Graph g = Path(n);
@@ -150,6 +151,7 @@ TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
       sink.AddTarget(i, s + 1);
       sink.AddTarget(i, s + 1);  // repeated
       if (s >= 2) sink.AddTarget(i, s - 2);
+      if (s + 500 < n) sink.AddUnreachableTarget(i, s + 500);
     }
     sink.Seal();
     MsBfsResult r = bfs->Run(sources, BfsOptions{}, sink);
@@ -161,6 +163,10 @@ TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
       EXPECT_EQ(sink.TargetLevel(i, s + 3), 3) << name << " slot " << i;
       if (s >= 2) {
         EXPECT_EQ(sink.TargetLevel(i, s - 2), 2) << name << " slot " << i;
+      }
+      if (s + 500 < n) {
+        EXPECT_EQ(sink.TargetLevel(i, s + 500), kLevelUnreached)
+            << name << " slot " << i;
       }
     }
   };
