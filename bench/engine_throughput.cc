@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   int64_t targets = 4;
   int64_t threads = pbfs::bench::DefaultThreads();
   int64_t trials = 3;
-  std::string batch_variant = "mspbfs";
   std::string json_out = "BENCH_engine.json";
   pbfs::FlagParser flags(
       "Query-engine throughput: coalesced MS-PBFS batches vs. "
@@ -49,9 +48,6 @@ int main(int argc, char** argv) {
   flags.AddInt64("targets", &targets, "distance targets per query");
   flags.AddInt64("threads", &threads, "worker threads");
   flags.AddInt64("trials", &trials, "trials (median reported)");
-  flags.AddString("batch_variant", &batch_variant,
-                  "registry name of the engine's batch kernel (a "
-                  "multi-source variant: msbfs, jfq_msbfs or mspbfs)");
   flags.AddString("json_out", &json_out, "machine-readable output path");
   pbfs::obs::ObsCli obs_cli("engine_throughput");
   obs_cli.Register(&flags);
@@ -68,17 +64,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(graph.num_edges()));
 
   pbfs::WorkerPool pool({.num_workers = static_cast<int>(threads)});
-  // The engine aborts on a batch variant that is not multi-source; say
-  // why here instead.
-  auto batch_runner = pbfs::FindVariantRunner(batch_variant, graph, &pool);
-  if (batch_runner == nullptr || !batch_runner->desc().multi_source) {
-    std::fprintf(stderr,
-                 "--batch_variant=%s: not a multi-source variant (msbfs, "
-                 "jfq_msbfs or mspbfs)\n",
-                 batch_variant.c_str());
-    return 1;
-  }
-  batch_runner.reset();
   obs_cli.AuditPlacement(graph, &pool, pbfs::BfsOptions{}.split_size);
   pbfs::Rng rng(11);
   std::vector<pbfs::Vertex> sources;
@@ -114,7 +99,10 @@ int main(int argc, char** argv) {
   // Snapshot fast-path overhead: the same kernel and query stream over
   // the null-overlay snapshot view — the graph a never-updated engine
   // traverses (see graph/snapshot.h). The static-graph acceptance bar
-  // is <2% vs. the raw CSR; CI gates on snapshot_overhead_frac.
+  // is <2% vs. the raw CSR. One timing on a shared host is too noisy to
+  // gate on, so CI only prints snapshot_overhead_frac; graph_test
+  // checks the deterministic property behind it (the null-overlay view
+  // hands out the CSR's own adjacency).
   pbfs::Graph snapshot_view = pbfs::Graph::OverlayView(graph, nullptr);
   auto view_single = pbfs::FindVariantRunner("smspbfs_bit", snapshot_view,
                                              &pool);
@@ -135,7 +123,6 @@ int main(int argc, char** argv) {
   // MS-PBFS batches. A generous coalesce window keeps the whole burst
   // in one batch; submission cost is part of the measured time.
   pbfs::QueryEngineOptions options;
-  options.batch_variant = batch_variant;
   options.coalesce_wait_ms = 20.0;
   // Width sized to the burst: once all `queries` are pending the
   // dispatcher stops lingering and launches immediately, so the window

@@ -105,8 +105,6 @@ class MultiSourceRunner : public BfsVariantRunner {
     }
   }
 
-  MultiSourceBfsBase* multi_source() override { return bfs_.get(); }
-
  private:
   std::unique_ptr<MultiSourceBfsBase> bfs_;
   Vertex n_;

@@ -22,8 +22,6 @@
 
 namespace pbfs {
 
-class MultiSourceBfsBase;
-
 struct BfsVariantDesc {
   std::string name;
   // Runs its vertex loops on the bound Executor (parallel under a
@@ -51,11 +49,6 @@ class BfsVariantRunner {
   // no-op.
   virtual void ComputeLevels(std::span<const Vertex> sources,
                              const BfsOptions& options, Level* levels) = 0;
-
-  // The multi-source kernel behind a multi-source variant, for callers
-  // that run one batch into a result sink (the query engine); null for
-  // single-source variants.
-  virtual MultiSourceBfsBase* multi_source() { return nullptr; }
 };
 
 // Every registered variant bound to `graph`: the sequential oracle,

@@ -47,8 +47,9 @@ struct Query {
   Level tolerance = 0;
   // Traversal radius for kKHop. A batch stops once its depth covers
   // the largest radius and its other answers are known, so small radii
-  // stay cheap even through the engine.
-  Level max_hops = kMaxLevel;
+  // stay cheap even through the engine. The default matches the wire's
+  // (server::QueryRequest::max_hops): a k-hop query names its radius.
+  Level max_hops = 0;
   // Absolute monotonic deadline on the NowNanos() clock; 0 = none. A
   // query whose deadline has passed when the dispatcher picks it up
   // completes with kDeadlineExceeded without being traversed.

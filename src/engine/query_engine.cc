@@ -142,17 +142,9 @@ QueryEngine::QueryEngine(const Graph& graph, Executor* executor,
   PBFS_CHECK(executor_ != nullptr);
   PBFS_CHECK(IsSupportedWidth(options_.max_batch_width));
   PBFS_CHECK(options_.coalesce_wait_ms >= 0);
-  runners_snapshot_ = snapshots_.Pin();
-  runners_version_ = runners_snapshot_->version();
-  single_runner_ = FindVariantRunner(options_.single_variant,
-                                     runners_snapshot_->graph(), executor_);
-  PBFS_CHECK(single_runner_ != nullptr);  // unknown single_variant name
-  // Resolve the batch variant eagerly at the smallest width so a typo'd
-  // or single-source name fails at construction, not on the first wide
-  // burst.
-  BfsVariantRunner* batch_runner = RunnerForWidth(kSupportedWidths[0]);
-  PBFS_CHECK(batch_runner != nullptr &&
-             batch_runner->multi_source() != nullptr);
+  kernels_snapshot_ = snapshots_.Pin();
+  single_kernel_ = MakeSmsPbfs(kernels_snapshot_->graph(), SmsVariant::kBit,
+                               executor_);
   if (options_.enable_sketches) {
     rebuilder_ = std::make_unique<SketchRebuilder>(
         &snapshots_, options_.sketch, options_.sketch_workers,
@@ -441,8 +433,9 @@ void QueryEngine::DispatcherMain() {
     PBFS_CHECK(outstanding_ >= batch.size());
     outstanding_ -= batch.size();
     done_cv_.notify_all();
-    // Dropping the batch (and its snapshot pins) outside the traversal
-    // path lets a superseded snapshot's epoch drain promptly.
+    // Drop the batch (and its snapshot pins) with mutex_ released: when
+    // they were the last pins on a superseded snapshot, its memory is
+    // freed here, and Submit() should not wait on that.
     lock.unlock();
     batch.clear();
     lock.lock();
@@ -495,30 +488,25 @@ int QueryEngine::PickWidth(size_t count) const {
   return options_.max_batch_width;
 }
 
-void QueryEngine::BindRunners(const SnapshotManager::Ref& snap) {
-  if (snap->version() == runners_version_) return;
+void QueryEngine::BindKernels(const SnapshotManager::Ref& snap) {
+  if (snap == kernels_snapshot_) return;
   // The snapshot moved: drop every kernel bound to the old graph view
   // and re-pin. Width instances rebuild lazily, so a burst after an
   // update pays one state allocation per width it actually uses.
-  single_runner_.reset();
-  batch_runners_.clear();
-  runners_snapshot_ = snap;
-  runners_version_ = snap->version();
-  single_runner_ = FindVariantRunner(options_.single_variant,
-                                     runners_snapshot_->graph(), executor_);
-  PBFS_CHECK(single_runner_ != nullptr);
+  single_kernel_.reset();
+  batch_kernels_.clear();
+  kernels_snapshot_ = snap;
+  single_kernel_ = MakeSmsPbfs(kernels_snapshot_->graph(), SmsVariant::kBit,
+                               executor_);
 }
 
-BfsVariantRunner* QueryEngine::RunnerForWidth(int width) {
-  for (auto& [w, runner] : batch_runners_) {
-    if (w == width) return runner.get();
+MultiSourceBfsBase* QueryEngine::BatchKernel(int width) {
+  for (auto& [w, kernel] : batch_kernels_) {
+    if (w == width) return kernel.get();
   }
-  std::unique_ptr<BfsVariantRunner> runner =
-      FindVariantRunner(options_.batch_variant, runners_snapshot_->graph(),
-                        executor_, width);
-  if (runner == nullptr) return nullptr;
-  batch_runners_.emplace_back(width, std::move(runner));
-  return batch_runners_.back().second.get();
+  batch_kernels_.emplace_back(
+      width, MakeMsPbfs(kernels_snapshot_->graph(), width, executor_));
+  return batch_kernels_.back().second.get();
 }
 
 int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
@@ -529,7 +517,7 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   obs::ScopedSpan batch_span(count == 1 ? "engine.single" : "engine.batch");
   batch_span.AddArg("queries", count);
   batch_span.AddArg("batch", batch_seq);
-  BindRunners(batch.front().snapshot);
+  BindKernels(batch.front().snapshot);
   const uint64_t content_version = batch.front().snapshot->content_version();
   batch_span.AddArg("snapshot", content_version);
   std::vector<Vertex> sources(count);
@@ -548,15 +536,8 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
         std::chrono::duration<double, std::milli>(inject_delay_ms));
   }
 
-  BfsVariantRunner* runner;
-  int width;
-  if (count == 1) {
-    runner = single_runner_.get();
-    width = 1;
-  } else {
-    width = PickWidth(count);
-    runner = RunnerForWidth(width);
-  }
+  const int width = count == 1 ? 1 : PickWidth(count);
+  MultiSourceBfsBase* kernel = count == 1 ? nullptr : BatchKernel(width);
   batch_span.AddArg("width", static_cast<uint64_t>(width));
   // Every rider crossed the dispatch boundary together; the batch
   // facts (width, sequence) are what explain a query that was fast
@@ -586,13 +567,18 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     // (unreached vertices get kLevelUnreached), so re-zeroing the
     // reused buffer would only add a memory pass per batch.
     levels_.resize(count * static_cast<size_t>(n));
-    BfsOptions options = options_.bfs;
-    if (count == 1 && batch[0].query.type == QueryType::kKHop) {
-      options.max_level = std::min(options.max_level, batch[0].query.max_hops);
+    if (count == 1) {
+      BfsOptions options = options_.bfs;
+      if (batch[0].query.type == QueryType::kKHop) {
+        options.max_level = std::min(options.max_level,
+                                     batch[0].query.max_hops);
+      }
+      single_kernel_->Run(sources[0], options, levels_.data());
+    } else {
+      kernel->Run(sources, options_.bfs, levels_.data());
     }
-    runner->ComputeLevels(sources, options, levels_.data());
   } else {
-    RunIntoSink(batch, level_rows, sources, runner->multi_source());
+    RunIntoSink(batch, level_rows, sources, kernel);
   }
   const int64_t kernel_done_ns = NowNanos();
   size_t row = 0;  // levels_ holds the rows in batch order
@@ -617,7 +603,7 @@ void QueryEngine::RunIntoSink(const std::vector<PendingQuery>& batch,
                               std::span<const Vertex> sources,
                               MultiSourceBfsBase* kernel) {
   const Vertex n = num_vertices_;
-  const Graph& graph = runners_snapshot_->graph();
+  const Graph& graph = kernels_snapshot_->graph();
   levels_.resize(level_rows * static_cast<size_t>(n));
   sink_.Reset(n, executor_->num_workers());
   size_t row = 0;
@@ -840,13 +826,8 @@ void QueryEngine::CollectLiveMetrics(obs::ExpositionWriter& writer) const {
                      "gauge");
   writer.Sample("pbfs_engine_snapshot_content_version", {},
                 static_cast<double>(snapshot.content_version));
-  writer.BeginFamily("pbfs_engine_snapshot_epoch",
-                     "Reclamation epoch of the current snapshot.",
-                     "gauge");
-  writer.Sample("pbfs_engine_snapshot_epoch", {},
-                static_cast<double>(snapshot.epoch));
   writer.BeginFamily("pbfs_engine_snapshot_retired",
-                     "Superseded snapshots awaiting epoch drain.",
+                     "Superseded snapshots a query still holds.",
                      "gauge");
   writer.Sample("pbfs_engine_snapshot_retired", {},
                 static_cast<double>(snapshot.retired));

@@ -19,8 +19,9 @@
 // time (pinned in Submit, stamped into QueryResult::snapshot_version),
 // so in-flight queries never observe a half-applied batch. A background
 // Compactor, started by the first ApplyUpdates(), folds accumulated
-// deltas into a fresh CSR and swaps it in with epoch-based reclamation;
-// engines that never call ApplyUpdates() spawn no extra threads and
+// deltas into a fresh CSR and swaps it in; the superseded CSR is freed
+// when the last query pinned to it completes. Engines that never call
+// ApplyUpdates() spawn no extra threads and
 // traverse the base CSR through a null-overlay view whose cost is one
 // predicted branch.
 //
@@ -50,8 +51,9 @@
 #include <vector>
 
 #include "bfs/common.h"
-#include "bfs/registry.h"
+#include "bfs/multi_source.h"
 #include "bfs/result_sink.h"
+#include "bfs/single_source.h"
 #include "engine/query.h"
 #include "graph/compactor.h"
 #include "graph/delta.h"
@@ -69,11 +71,6 @@ class MetricsRegistry;
 }  // namespace obs
 
 struct QueryEngineOptions {
-  // Registry names (AllVariantNames) of the kernel used for coalesced
-  // batches of >= 2 queries (a multi-source variant: msbfs, jfq_msbfs
-  // or mspbfs) and of the fallback for a lone query.
-  std::string batch_variant = "mspbfs";
-  std::string single_variant = "smspbfs_bit";
   // Cap on the adaptive batch width; one of kSupportedWidths.
   int max_batch_width = 1024;
   // How long the dispatcher lingers after finding pending queries to
@@ -199,6 +196,8 @@ class QueryEngine {
   std::shared_ptr<const ClusterSketch> CurrentSketch() const;
 
   const QueryEngineOptions& options() const { return options_; }
+  // Fixed at construction: updates churn edges, never vertices.
+  Vertex num_vertices() const { return num_vertices_; }
 
   // ---- Live telemetry ----
 
@@ -251,8 +250,10 @@ class QueryEngine {
   int PickWidth(size_t count) const;
   // Rebinds the cached kernels to `snap`'s graph when the snapshot
   // changed since the last dispatch. Dispatcher thread only.
-  void BindRunners(const SnapshotManager::Ref& snap);
-  BfsVariantRunner* RunnerForWidth(int width);
+  void BindKernels(const SnapshotManager::Ref& snap);
+  // The MS-PBFS instance of `width` bound to kernels_snapshot_'s graph,
+  // created on first use.
+  MultiSourceBfsBase* BatchKernel(int width);
   bool IsValid(const Query& query) const;
   // Runs `batch` (level_rows of them kLevels) on `kernel` into sink_,
   // with the kLevels rows in levels_ in batch order.
@@ -295,16 +296,15 @@ class QueryEngine {
   Compactor compactor_;
   std::unique_ptr<SketchRebuilder> rebuilder_;
 
-  // Dispatcher-thread-only state: kernel instances cached per width and
-  // bound to runners_snapshot_'s graph, the reusable level rows (one
-  // per kLevels query of the batch, or one for a lone query) and the
-  // batch result sink. The pin keeps the bound graph alive across
-  // batches.
-  SnapshotManager::Ref runners_snapshot_;
-  uint64_t runners_version_ = 0;
-  std::unique_ptr<BfsVariantRunner> single_runner_;
-  std::vector<std::pair<int, std::unique_ptr<BfsVariantRunner>>>
-      batch_runners_;
+  // Dispatcher-thread-only state: the SMS-PBFS instance for lone
+  // queries and MS-PBFS instances cached per width, all bound to
+  // kernels_snapshot_'s graph, the reusable level rows (one per kLevels
+  // query of the batch, or one for a lone query) and the batch result
+  // sink. The pin keeps the bound graph alive across batches.
+  SnapshotManager::Ref kernels_snapshot_;
+  std::unique_ptr<SingleSourceBfsBase> single_kernel_;
+  std::vector<std::pair<int, std::unique_ptr<MultiSourceBfsBase>>>
+      batch_kernels_;
   std::vector<Level> levels_;
   BatchSink sink_;
   // Dispatch sequence number linking per-query kernel stage spans to

@@ -33,27 +33,24 @@ Compactor::Stats Compactor::GetStats() const {
 }
 
 bool Compactor::Compact(Executor* executor) {
+  SnapshotManager::Ref snap = snapshots_->Pin();
+  if (!snap->has_overlay()) return false;
+  const uint64_t from_version = snap->version();
+  obs::ScopedSpan span("compactor.compact");
+  span.AddArg("version", from_version);
+  span.AddArg("patched_vertices",
+              static_cast<uint64_t>(snap->patched_vertices()));
+  loop_.DebugDelay();
+  const std::vector<Edge> edges = MaterializeEdges(snap->graph(), executor);
+  auto fresh = std::make_shared<Graph>(
+      BuildGraphParallel(snap->graph().num_vertices(), edges, executor));
+  snapshots_->InstallCompacted(from_version, std::move(fresh));
   {
-    SnapshotManager::Ref snap = snapshots_->Pin();
-    if (!snap->has_overlay()) return false;
-    const uint64_t from_version = snap->version();
-    obs::ScopedSpan span("compactor.compact");
-    span.AddArg("version", from_version);
-    span.AddArg("patched_vertices",
-                static_cast<uint64_t>(snap->patched_vertices()));
-    loop_.DebugDelay();
-    const std::vector<Edge> edges = MaterializeEdges(snap->graph(), executor);
-    auto fresh = std::make_shared<Graph>(
-        BuildGraphParallel(snap->graph().num_vertices(), edges, executor));
-    snapshots_->InstallCompacted(from_version, std::move(fresh));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      last_edges_ = edges.size();
-    }
-    // snap unpins here; with the engine's runner pins typically moved on
-    // already, the pre-compaction CSR reclaims on this drain.
+    std::lock_guard<std::mutex> lock(mu_);
+    last_edges_ = edges.size();
   }
-  snapshots_->ReclaimDrained();
+  // Dropping `snap` here frees the pre-compaction CSR when no reader
+  // (typically the engine's runner pin has moved on already) holds it.
   return true;
 }
 

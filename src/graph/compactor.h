@@ -5,8 +5,8 @@
 // snapshot, flattens base + overlay to an edge list, rebuilds with the
 // parallel_build machinery, and swaps the result in through
 // SnapshotManager::InstallCompacted. Readers pinned to the old CSR keep
-// traversing it; the old arrays are freed when their epoch drains (see
-// graph/snapshot.h). The thread, its private pool and the idle/notify
+// traversing it; the old arrays are freed when the last pin on them is
+// dropped (see graph/snapshot.h). The thread, its private pool and the idle/notify
 // protocol are a MaintenanceLoop (graph/maintenance_loop.h).
 #ifndef PBFS_GRAPH_COMPACTOR_H_
 #define PBFS_GRAPH_COMPACTOR_H_

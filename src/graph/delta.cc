@@ -8,62 +8,6 @@
 #include "util/check.h"
 
 namespace pbfs {
-
-DeltaBuffer::DeltaBuffer(Vertex num_vertices, int num_partitions)
-    : num_vertices_(num_vertices) {
-  PBFS_CHECK(num_partitions >= 1);
-  partitions_.reserve(static_cast<size_t>(num_partitions));
-  for (int p = 0; p < num_partitions; ++p) {
-    partitions_.push_back(std::make_unique<Partition>());
-  }
-}
-
-int DeltaBuffer::PartitionOf(Vertex u, Vertex v) const {
-  const Vertex low = std::min(u, v);
-  if (num_vertices_ == 0) return 0;
-  return static_cast<int>((static_cast<uint64_t>(low) * partitions_.size()) /
-                          num_vertices_);
-}
-
-void DeltaBuffer::Append(std::span<const EdgeUpdate> updates) {
-  if (updates.empty()) return;
-  // One contiguous stamp range per call: updates inside a batch keep
-  // their relative order no matter how partitions interleave.
-  uint64_t seq = next_seq_.fetch_add(updates.size(),
-                                     std::memory_order_relaxed);
-  for (const EdgeUpdate& update : updates) {
-    const uint64_t stamp = seq++;
-    PBFS_CHECK(update.u < num_vertices_ && update.v < num_vertices_);
-    if (update.u == update.v) continue;  // normalize like FromEdges
-    Partition& part = *partitions_[PartitionOf(update.u, update.v)];
-    std::lock_guard<std::mutex> lock(part.mu);
-    part.ops.push_back(StampedUpdate{stamp, update});
-  }
-}
-
-std::vector<StampedUpdate> DeltaBuffer::Drain() {
-  std::vector<StampedUpdate> merged;
-  for (auto& part : partitions_) {
-    std::lock_guard<std::mutex> lock(part->mu);
-    merged.insert(merged.end(), part->ops.begin(), part->ops.end());
-    part->ops.clear();
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const StampedUpdate& a, const StampedUpdate& b) {
-              return a.seq < b.seq;
-            });
-  return merged;
-}
-
-uint64_t DeltaBuffer::pending() const {
-  uint64_t total = 0;
-  for (const auto& part : partitions_) {
-    std::lock_guard<std::mutex> lock(part->mu);
-    total += part->ops.size();
-  }
-  return total;
-}
-
 namespace {
 
 // Effective adjacency of `v` under base + prev overlay.
@@ -112,15 +56,14 @@ std::shared_ptr<const AdjacencyOverlay> FreezeOverlay(
 
 std::shared_ptr<const AdjacencyOverlay> ApplyUpdatesToOverlay(
     const Graph& base, const AdjacencyOverlay* prev,
-    std::span<const StampedUpdate> updates) {
+    std::span<const EdgeUpdate> updates) {
   PBFS_CHECK(!base.has_overlay());
   const Vertex n = base.num_vertices();
 
   // Scatter the symmetric half-updates per endpoint; iterating the
-  // seq-sorted input keeps each per-vertex list in sequence order.
+  // batch in order keeps each per-vertex list in batch order.
   std::unordered_map<Vertex, std::vector<std::pair<Vertex, bool>>> ops;
-  for (const StampedUpdate& stamped : updates) {
-    const EdgeUpdate& u = stamped.update;
+  for (const EdgeUpdate& u : updates) {
     PBFS_CHECK(u.u < n && u.v < n);
     if (u.u == u.v) continue;
     ops[u.u].emplace_back(u.v, u.insert);

@@ -1,18 +1,15 @@
-// Mutation side of the dynamic graph substrate: thread-safe
-// per-partition edge insert/delete buffers, and the pure functions that
-// freeze drained buffers into the immutable AdjacencyOverlay patches
-// traversed via Graph::OverlayView (graph/graph.h).
+// Mutation side of the dynamic graph substrate: the pure functions that
+// freeze an edge-update batch into the immutable AdjacencyOverlay
+// patches traversed via Graph::OverlayView (graph/graph.h).
 //
 // Update semantics match Graph::FromEdges normalization: the graph is a
 // set of undirected edges, self loops are dropped, inserting a present
 // edge and deleting an absent one are no-ops, and conflicting updates
-// resolve last-wins in buffer admission (sequence) order.
+// resolve last-wins in batch order.
 #ifndef PBFS_GRAPH_DELTA_H_
 #define PBFS_GRAPH_DELTA_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -31,52 +28,7 @@ struct EdgeUpdate {
   bool insert = true;  // false: delete
 };
 
-// An EdgeUpdate stamped with its global admission sequence number; the
-// overlay builder replays stamped updates in sequence order.
-struct StampedUpdate {
-  uint64_t seq = 0;
-  EdgeUpdate update;
-};
-
-// Thread-safe staging area for not-yet-published updates. Writers append
-// under one of `num_partitions` striped locks chosen by the lower
-// endpoint's vertex range (the same owner-computes split the traversal
-// state uses), so concurrent mutators on disjoint regions never contend;
-// a global atomic sequence stamp keeps the merged order total.
-class DeltaBuffer {
- public:
-  explicit DeltaBuffer(Vertex num_vertices, int num_partitions = 8);
-
-  DeltaBuffer(const DeltaBuffer&) = delete;
-  DeltaBuffer& operator=(const DeltaBuffer&) = delete;
-
-  // Stamps and stages `updates`. Self loops are dropped here (mirroring
-  // FromEdges); out-of-range endpoints are programming errors.
-  void Append(std::span<const EdgeUpdate> updates);
-
-  // Atomically empties every partition and returns the staged updates
-  // sorted by sequence stamp. Thread-safe against concurrent Append.
-  std::vector<StampedUpdate> Drain();
-
-  // Staged updates not yet drained (approximate under concurrency).
-  uint64_t pending() const;
-
-  int num_partitions() const { return static_cast<int>(partitions_.size()); }
-
- private:
-  struct Partition {
-    std::mutex mu;
-    std::vector<StampedUpdate> ops;
-  };
-
-  int PartitionOf(Vertex u, Vertex v) const;
-
-  const Vertex num_vertices_;
-  std::atomic<uint64_t> next_seq_{0};
-  std::vector<std::unique_ptr<Partition>> partitions_;
-};
-
-// Replays seq-sorted `updates` on top of `base` (an owning CSR, no
+// Replays `updates`, in order, on top of `base` (an owning CSR, no
 // overlay) already patched by `prev` (may be null), returning the frozen
 // overlay for the resulting edge set. Returns null when the result is
 // exactly the base CSR (every update was a no-op or got reverted).
@@ -89,7 +41,7 @@ class DeltaBuffer {
 // are shed at the next compaction swap.
 std::shared_ptr<const AdjacencyOverlay> ApplyUpdatesToOverlay(
     const Graph& base, const AdjacencyOverlay* prev,
-    std::span<const StampedUpdate> updates);
+    std::span<const EdgeUpdate> updates);
 
 // Filters `prev` against a freshly compacted base: keeps only patches
 // whose list still differs from `fresh_base`'s. Null when nothing

@@ -1,154 +1,55 @@
 #include "graph/snapshot.h"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 
 namespace pbfs {
 
-// ---- SnapshotManager::Ref ----
-
-SnapshotManager::Ref::Ref(const Ref& other)
-    : snap_(other.snap_), manager_(other.manager_), epoch_(other.epoch_) {
-  if (manager_ != nullptr) manager_->Repin(epoch_);
-}
-
-SnapshotManager::Ref& SnapshotManager::Ref::operator=(const Ref& other) {
-  if (this == &other) return *this;
-  Release();
-  snap_ = other.snap_;
-  manager_ = other.manager_;
-  epoch_ = other.epoch_;
-  if (manager_ != nullptr) manager_->Repin(epoch_);
-  return *this;
-}
-
-SnapshotManager::Ref::Ref(Ref&& other) noexcept
-    : snap_(std::move(other.snap_)),
-      manager_(other.manager_),
-      epoch_(other.epoch_) {
-  other.manager_ = nullptr;
-  other.snap_.reset();
-}
-
-SnapshotManager::Ref& SnapshotManager::Ref::operator=(Ref&& other) noexcept {
-  if (this == &other) return *this;
-  Release();
-  snap_ = std::move(other.snap_);
-  manager_ = other.manager_;
-  epoch_ = other.epoch_;
-  other.manager_ = nullptr;
-  other.snap_.reset();
-  return *this;
-}
-
-void SnapshotManager::Ref::Release() {
-  if (manager_ != nullptr) {
-    manager_->Unpin(epoch_);
-    manager_ = nullptr;
-  }
-  snap_.reset();
-}
-
-// ---- SnapshotManager ----
-
-SnapshotManager::SnapshotManager(std::shared_ptr<const Graph> base,
-                                 int delta_partitions)
-    : delta_(base != nullptr ? base->num_vertices() : 0, delta_partitions) {
+SnapshotManager::SnapshotManager(std::shared_ptr<const Graph> base) {
   PBFS_CHECK(base != nullptr);
   PBFS_CHECK(!base->has_overlay());
-  current_ = std::shared_ptr<const GraphSnapshot>(
-      new GraphSnapshot(std::move(base), nullptr, /*version=*/1,
-                        /*content_version=*/1));
+  current_ = Ref(new GraphSnapshot(std::move(base), nullptr, /*version=*/1,
+                                   /*content_version=*/1));
 }
 
-SnapshotManager::Ref SnapshotManager::Pin() {
-  Ref ref;
+SnapshotManager::Ref SnapshotManager::Pin() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ref.snap_ = current_;
-  ref.manager_ = this;
-  ref.epoch_ = epoch_;
-  ++pins_[epoch_];
-  return ref;
+  return current_;
 }
 
-void SnapshotManager::Repin(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++pins_[epoch];
-}
-
-void SnapshotManager::Unpin(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pins_.find(epoch);
-  PBFS_CHECK(it != pins_.end() && it->second > 0);
-  if (--it->second == 0) {
-    pins_.erase(it);
-    ReclaimLocked();
-  }
-}
-
-void SnapshotManager::PublishLocked(
-    std::shared_ptr<const GraphSnapshot> next) {
-  retired_.push_back(
-      Retired{std::move(current_), current_first_epoch_, epoch_});
-  ++epoch_;
+void SnapshotManager::PublishLocked(Ref next) {
+  std::erase_if(retired_, [](const std::weak_ptr<const GraphSnapshot>& w) {
+    return w.expired();
+  });
+  retired_.push_back(current_);
   current_ = std::move(next);
-  current_first_epoch_ = epoch_;
-  ReclaimLocked();
-}
-
-size_t SnapshotManager::ReclaimLocked() {
-  size_t released = 0;
-  auto pinned_in = [this](uint64_t first, uint64_t last) {
-    auto it = pins_.lower_bound(first);
-    return it != pins_.end() && it->first <= last;
-  };
-  for (auto it = retired_.begin(); it != retired_.end();) {
-    if (pinned_in(it->first_epoch, it->last_epoch)) {
-      ++it;
-    } else {
-      it = retired_.erase(it);
-      ++released;
-    }
-  }
-  reclaimed_ += released;
-  return released;
-}
-
-size_t SnapshotManager::ReclaimDrained() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReclaimLocked();
-}
-
-void SnapshotManager::Stage(std::span<const EdgeUpdate> updates) {
-  delta_.Append(updates);
 }
 
 uint64_t SnapshotManager::ApplyBatch(std::span<const EdgeUpdate> updates) {
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
-  // Staging under the publish lock keeps the batch atomic: it can never
-  // be split across two publications by a concurrent publisher.
-  delta_.Append(updates);
-  std::vector<StampedUpdate> ops = delta_.Drain();
-  std::shared_ptr<const GraphSnapshot> cur;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cur = current_;
-  }
-  if (ops.empty()) {
-    // Nothing staged and every update was a normalization no-op (e.g.
-    // all self loops): the current snapshot already covers the batch.
+  const Ref cur = Pin();
+  const Vertex n = cur->graph().num_vertices();
+  const size_t applied = static_cast<size_t>(
+      std::count_if(updates.begin(), updates.end(), [n](const EdgeUpdate& u) {
+        PBFS_CHECK(u.u < n && u.v < n);
+        return u.u != u.v;
+      }));
+  if (applied == 0) {
+    // Empty, or all self loops (normalization no-ops): the current
+    // snapshot already covers the batch.
     return cur->content_version();
   }
-  std::shared_ptr<const AdjacencyOverlay> overlay =
-      ApplyUpdatesToOverlay(*cur->base_, cur->overlay_.get(), ops);
-  auto next = std::shared_ptr<const GraphSnapshot>(
-      new GraphSnapshot(cur->base_, std::move(overlay), cur->version_ + 1,
-                        cur->content_version_ + 1));
+  auto next = Ref(new GraphSnapshot(
+      cur->base_, ApplyUpdatesToOverlay(*cur->base_, cur->overlay_.get(),
+                                        updates),
+      cur->version_ + 1, cur->content_version_ + 1));
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++publishes_;
-    updates_applied_ += ops.size();
+    updates_applied_ += applied;
     PublishLocked(std::move(next));
   }
   return cur->content_version_ + 1;
@@ -158,11 +59,7 @@ void SnapshotManager::InstallCompacted(uint64_t compacted_from_version,
                                        std::shared_ptr<const Graph> fresh) {
   PBFS_CHECK(fresh != nullptr && !fresh->has_overlay());
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
-  std::shared_ptr<const GraphSnapshot> cur;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cur = current_;
-  }
+  const Ref cur = Pin();
   PBFS_CHECK(cur->version_ >= compacted_from_version);
   // Patches published after the compactor pinned its input still differ
   // from the fresh CSR and must survive the swap; everything the
@@ -171,9 +68,8 @@ void SnapshotManager::InstallCompacted(uint64_t compacted_from_version,
       cur->version_ == compacted_from_version
           ? nullptr
           : RebaseOverlay(*fresh, cur->overlay_.get());
-  auto next = std::shared_ptr<const GraphSnapshot>(
-      new GraphSnapshot(std::move(fresh), std::move(overlay),
-                        cur->version_ + 1, cur->content_version_));
+  auto next = Ref(new GraphSnapshot(std::move(fresh), std::move(overlay),
+                                    cur->version_ + 1, cur->content_version_));
   PBFS_CHECK(next->graph().num_directed_edges() ==
              cur->graph().num_directed_edges());
   {
@@ -185,18 +81,17 @@ void SnapshotManager::InstallCompacted(uint64_t compacted_from_version,
 
 SnapshotStats SnapshotManager::GetStats() const {
   SnapshotStats stats;
-  stats.pending_updates = delta_.pending();
   std::lock_guard<std::mutex> lock(mu_);
   stats.version = current_->version_;
   stats.content_version = current_->content_version_;
-  stats.epoch = epoch_;
   stats.publishes = publishes_;
   stats.compact_swaps = compact_swaps_;
   stats.updates_applied = updates_applied_;
   stats.overlay_patched_vertices = current_->patched_vertices();
   stats.overlay_edge_delta = current_->overlay_edge_delta();
-  stats.retired = retired_.size();
-  stats.reclaimed = reclaimed_;
+  stats.retired = static_cast<size_t>(std::count_if(
+      retired_.begin(), retired_.end(),
+      [](const std::weak_ptr<const GraphSnapshot>& w) { return !w.expired(); }));
   return stats;
 }
 

@@ -1,26 +1,21 @@
-// Versioned immutable graph snapshots with epoch-based reclamation —
-// the read side of the dynamic graph substrate.
+// Versioned immutable graph snapshots — the read side of the dynamic
+// graph substrate.
 //
 // A GraphSnapshot freezes one logical graph state: a base CSR plus an
 // optional AdjacencyOverlay, exposed to the traversal kernels as one
 // Graph overlay view. Snapshots are immutable; SnapshotManager serializes
 // publication of successors (update batches via ApplyBatch, compacted
-// CSR swaps via InstallCompacted) and tracks which retired snapshots may
-// still have readers.
+// CSR swaps via InstallCompacted).
 //
-// Reclamation: Pin() hands out an RAII Ref recording the publication
-// epoch it observed. Publishing retires the previous snapshot with its
-// epoch interval; a retired snapshot's backing memory (including an
-// owned base CSR replaced by compaction) is released once no pin's epoch
-// falls inside that interval — i.e. its epoch has drained. The Ref also
-// holds a shared_ptr, so even an un-reclaimed snapshot can never be
-// freed under a reader; the epochs make reclamation prompt rather than
-// merely eventual.
+// Lifetime: Pin() hands out a shared_ptr to the current snapshot, and
+// that shared_ptr is the only lifetime mechanism. A superseded snapshot's
+// memory (including an owned base CSR replaced by compaction) is freed
+// by whichever thread drops its last reference: the publisher that
+// superseded it when no reader still holds it, else the last reader.
 #ifndef PBFS_GRAPH_SNAPSHOT_H_
 #define PBFS_GRAPH_SNAPSHOT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -72,49 +67,24 @@ class GraphSnapshot {
 struct SnapshotStats {
   uint64_t version = 0;
   uint64_t content_version = 0;
-  uint64_t epoch = 0;
   uint64_t publishes = 0;      // update-batch publications
   uint64_t compact_swaps = 0;  // compacted-CSR publications
-  uint64_t updates_applied = 0;  // stamped ops folded into overlays
-  uint64_t pending_updates = 0;  // staged in the delta buffer
+  uint64_t updates_applied = 0;  // non-self-loop ops folded into overlays
   size_t overlay_patched_vertices = 0;
   int64_t overlay_edge_delta = 0;  // directed entries vs current base
-  size_t retired = 0;          // awaiting epoch drain
-  uint64_t reclaimed = 0;      // retired snapshots already released
+  size_t retired = 0;  // superseded snapshots a reader still holds
 };
 
 class SnapshotManager {
  public:
-  // RAII pin on one snapshot. Copyable (a copy re-pins the same epoch);
-  // destruction unpins and reclaims any snapshot whose epoch drained.
-  class Ref {
-   public:
-    Ref() = default;
-    Ref(const Ref& other);
-    Ref& operator=(const Ref& other);
-    Ref(Ref&& other) noexcept;
-    Ref& operator=(Ref&& other) noexcept;
-    ~Ref() { Release(); }
-
-    const GraphSnapshot& operator*() const { return *snap_; }
-    const GraphSnapshot* operator->() const { return snap_.get(); }
-    const GraphSnapshot* get() const { return snap_.get(); }
-    explicit operator bool() const { return snap_ != nullptr; }
-
-   private:
-    friend class SnapshotManager;
-    void Release();
-    std::shared_ptr<const GraphSnapshot> snap_;
-    SnapshotManager* manager_ = nullptr;
-    uint64_t epoch_ = 0;
-  };
+  // A pin on one snapshot: it stays alive while any copy is held.
+  using Ref = std::shared_ptr<const GraphSnapshot>;
 
   // `base` becomes snapshot version 1. Use Borrow() for graphs owned by
   // the caller (they must outlive the manager — like QueryEngine's
   // borrowed graph); compaction replaces the base with an owned CSR
   // either way.
-  explicit SnapshotManager(std::shared_ptr<const Graph> base,
-                           int delta_partitions = 8);
+  explicit SnapshotManager(std::shared_ptr<const Graph> base);
 
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
@@ -126,18 +96,15 @@ class SnapshotManager {
   }
 
   // Pins the current snapshot. Thread-safe.
-  Ref Pin();
+  Ref Pin() const;
 
-  // Stages `updates` into the delta buffer without publishing — the
-  // lock-striped concurrent-writer path. Staged updates reach readers at
-  // the next ApplyBatch (which drains everything staged).
-  void Stage(std::span<const EdgeUpdate> updates);
-
-  // Atomically stages `updates` plus anything previously Staged(), and
-  // publishes one successor snapshot covering all of it. Thread-safe;
-  // concurrent calls serialize on the publish lock, and a batch is never
+  // Publishes one successor snapshot holding `updates`, applied in span
+  // order (last wins for conflicting updates of one edge; self loops are
+  // dropped). Endpoints must lie in [0, num_vertices). Thread-safe;
+  // concurrent calls serialize on the publish lock, so a batch is never
   // split across two publications. Returns the content version of the
-  // first snapshot containing `updates`.
+  // first snapshot containing `updates` — the current one, unchanged,
+  // when the batch holds no edge other than self loops.
   uint64_t ApplyBatch(std::span<const EdgeUpdate> updates);
 
   // Publishes `fresh` (a compacted CSR equal to the snapshot that was
@@ -146,20 +113,14 @@ class SnapshotManager {
   void InstallCompacted(uint64_t compacted_from_version,
                         std::shared_ptr<const Graph> fresh);
 
-  // Releases retired snapshots whose epoch interval has drained; returns
-  // how many were released. Also runs automatically on every unpin.
-  size_t ReclaimDrained();
-
   SnapshotStats GetStats() const;
 
  private:
-  void Repin(uint64_t epoch);
-  void Unpin(uint64_t epoch);
-  // Retires current_, installs `next`, advances the epoch. mu_ held.
-  void PublishLocked(std::shared_ptr<const GraphSnapshot> next);
-  size_t ReclaimLocked();
-
-  DeltaBuffer delta_;
+  // Installs `next` as current_ and records its predecessor as retired.
+  // mu_ held. Publishers keep their own reference to the predecessor
+  // until they return, so a snapshot no reader holds is freed after
+  // mu_ is released, never under it.
+  void PublishLocked(Ref next);
 
   // Serializes publishers (ApplyBatch, InstallCompacted) so overlay
   // construction — too slow for mu_ — never races another publication.
@@ -167,20 +128,12 @@ class SnapshotManager {
   std::mutex publish_mu_;
 
   mutable std::mutex mu_;
-  std::shared_ptr<const GraphSnapshot> current_;
-  uint64_t epoch_ = 0;                // epoch of current_'s publication
-  uint64_t current_first_epoch_ = 0;  // epoch current_ became current
-  std::map<uint64_t, uint64_t> pins_;  // epoch -> live pin count
-  struct Retired {
-    std::shared_ptr<const GraphSnapshot> snap;
-    uint64_t first_epoch = 0;  // inclusive epoch interval the snapshot
-    uint64_t last_epoch = 0;   // was current for
-  };
-  std::vector<Retired> retired_;
+  Ref current_;
+  // Superseded snapshots, pruned of expired entries at each publication.
+  std::vector<std::weak_ptr<const GraphSnapshot>> retired_;
   uint64_t publishes_ = 0;
   uint64_t compact_swaps_ = 0;
   uint64_t updates_applied_ = 0;
-  uint64_t reclaimed_ = 0;
 };
 
 }  // namespace pbfs

@@ -46,7 +46,9 @@
 //
 // A malformed payload (unknown kind, out-of-range enum byte, count
 // inconsistent with the payload length, trailing bytes) is a protocol
-// error: the server closes the connection rather than guessing. A
+// error: the server closes the connection rather than guessing. So is
+// an edge update naming a vertex outside the served graph, which the
+// server checks after decoding (the decoder does not know |V|). A
 // frame whose declared length exceeds the decoder's limit is reported
 // as kOversized *before* buffering the body, so a hostile 4 GiB
 // length prefix costs nothing.

@@ -9,10 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "obs/query_trace.h"
 #include "util/check.h"
@@ -162,6 +164,20 @@ void PbfsServer::HandleRequestsLocked(Conn& conn,
     for (Request& req : work) {
       ++stats_.frames_rx;
       if (req.kind == MessageKind::kEdgeUpdates) {
+        // The decoder cannot know |V|, and the engine treats an endpoint
+        // outside the graph as a broken invariant. Such a frame is a
+        // protocol error: nothing in it is applied, the session closes,
+        // and its later requests are dropped.
+        const Vertex n = engine_->num_vertices();
+        const std::vector<EdgeUpdate>& updates = req.updates.updates;
+        if (std::any_of(updates.begin(), updates.end(),
+                        [n](const EdgeUpdate& u) {
+                          return u.u >= n || u.v >= n;
+                        })) {
+          conn.session->OnInvalidRequest(
+              "edge update endpoint out of range", now_ns);
+          return;
+        }
         const uint64_t version = engine_->ApplyUpdates(req.updates.updates);
         ++stats_.updates_applied;
         UpdateResponse ack;

@@ -15,7 +15,17 @@ constexpr SessionTransition kSessionTransitions[] = {
      SessionState::kInFrame},
     {SessionState::kInFrame, SessionEvent::kRxBytes, SessionState::kInFrame},
     {SessionState::kInFrame, SessionEvent::kFrameDecoded, kAutoResume},
+    // A protocol error closes every open state: a malformed frame is
+    // caught mid-decode (kInFrame); a well-formed request the server
+    // cannot serve is caught after decoding, in whatever state that
+    // left the session.
+    {SessionState::kAwaitFrame, SessionEvent::kDecodeError,
+     SessionState::kClosed},
     {SessionState::kInFrame, SessionEvent::kDecodeError,
+     SessionState::kClosed},
+    {SessionState::kBackpressured, SessionEvent::kDecodeError,
+     SessionState::kClosed},
+    {SessionState::kDraining, SessionEvent::kDecodeError,
      SessionState::kClosed},
     // Backpressure: the window can fill with or without buffered bytes.
     {SessionState::kAwaitFrame, SessionEvent::kWindowFull,
@@ -216,6 +226,13 @@ bool Session::OnBytes(std::string_view data, int64_t now_ns,
   Fire(SessionEvent::kRxBytes, now_ns);
   DecodeLoop(now_ns, out);
   return state_ != SessionState::kClosed;
+}
+
+void Session::OnInvalidRequest(std::string error, int64_t now_ns) {
+  if (Fire(SessionEvent::kDecodeError, now_ns)) {
+    close_reason_ = "protocol_error";
+    decode_error_ = std::move(error);
+  }
 }
 
 void Session::OnPeerClosed(int64_t now_ns) {

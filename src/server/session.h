@@ -56,7 +56,7 @@ inline constexpr int kNumSessionStates = 5;
 enum class SessionEvent : uint8_t {
   kRxBytes,        // bytes arrived from the peer
   kFrameDecoded,   // one full frame left the rx buffer
-  kDecodeError,    // malformed/oversized frame: protocol error
+  kDecodeError,    // malformed/oversized frame or unservable request
   kWindowFull,     // in-flight request window hit its cap
   kWindowOpen,     // window drained to the low-water mark
   kResponseQueued, // a response was appended to tx
@@ -113,6 +113,11 @@ class Session {
   // false when the session closed (protocol error): drop the fd.
   bool OnBytes(std::string_view data, int64_t now_ns,
                std::vector<Request>* out);
+  // A decoded request the server refuses to serve (an edge update naming
+  // a vertex outside the graph): a protocol error like a malformed
+  // frame. Closes the session from every open state; `error` becomes
+  // decode_error().
+  void OnInvalidRequest(std::string error, int64_t now_ns);
   void OnPeerClosed(int64_t now_ns);
   void OnShutdown(int64_t now_ns);
   // Least-recently-active eviction: the server at its connection cap
@@ -176,7 +181,6 @@ class Session {
   void DecodeLoop(int64_t now_ns, std::vector<Request>* out);
   // Timeout (ms) configured for `state`; <= 0 = no timer.
   double StateTimeoutMs(SessionState state) const;
-  void Close(const char* reason, int64_t now_ns);
 
   const uint64_t id_;
   const SessionOptions options_;

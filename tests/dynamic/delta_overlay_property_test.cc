@@ -8,10 +8,12 @@
 // Randomized over the differential corpus families; failures print the
 // PBFS_DIFF_SEED reproduction banner. Also covers overlay chaining,
 // no-op update sequences, RebaseOverlay after a compaction swap,
-// MaterializeEdges round trips, DeltaBuffer's concurrent staging, and
-// SnapshotManager's epoch-based reclamation.
+// MaterializeEdges round trips, concurrent ApplyBatch publishers, and
+// snapshot lifetime under SnapshotManager.
 
+#include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,8 +39,8 @@ using dyn::GraphToSet;
 using dyn::SetToEdges;
 
 // Random mix of inserts and deletes, biased so deletes find present
-// edges; self loops occur naturally when u == v (DeltaBuffer drops
-// them, the oracle skips them).
+// edges; self loops occur naturally when u == v (the overlay builder
+// drops them, the oracle skips them).
 std::vector<EdgeUpdate> RandomUpdates(const Graph& base, int count, Rng& rng) {
   const Vertex n = base.num_vertices();
   std::vector<EdgeUpdate> ops;
@@ -57,15 +59,6 @@ std::vector<EdgeUpdate> RandomUpdates(const Graph& base, int count, Rng& rng) {
     ops.push_back(op);
   }
   return ops;
-}
-
-// Stamps through the real staging pipeline (drops self loops, assigns
-// sequence numbers).
-std::vector<StampedUpdate> Stamp(const Graph& base,
-                                 std::span<const EdgeUpdate> ops) {
-  DeltaBuffer buffer(base.num_vertices());
-  buffer.Append(ops);
-  return buffer.Drain();
 }
 
 // Asserts `view` and `expected` describe the same graph, adjacency list
@@ -96,8 +89,7 @@ TEST(DeltaOverlayPropertyTest, OverlayViewMatchesRebuiltCsr) {
       const int count = 1 + static_cast<int>(rng.NextBounded(64));
       const std::vector<EdgeUpdate> ops = RandomUpdates(gc.graph, count, rng);
 
-      auto overlay = ApplyUpdatesToOverlay(gc.graph, nullptr,
-                                           Stamp(gc.graph, ops));
+      auto overlay = ApplyUpdatesToOverlay(gc.graph, nullptr, ops);
       const Graph view = Graph::OverlayView(gc.graph, overlay.get());
 
       EdgeSet set = GraphToSet(gc.graph);
@@ -125,8 +117,7 @@ TEST(DeltaOverlayPropertyTest, ChainedOverlaysMatchRebuiltCsr) {
         const int count = 1 + static_cast<int>(rng.NextBounded(32));
         const std::vector<EdgeUpdate> ops =
             RandomUpdates(gc.graph, count, rng);
-        overlay = ApplyUpdatesToOverlay(gc.graph, overlay.get(),
-                                        Stamp(gc.graph, ops));
+        overlay = ApplyUpdatesToOverlay(gc.graph, overlay.get(), ops);
         ApplyToSet(set, ops);
       }
       const Graph view = Graph::OverlayView(gc.graph, overlay.get());
@@ -146,13 +137,13 @@ TEST(DeltaOverlayPropertyTest, NetNoOpUpdatesProduceNullOverlay) {
       {3, 4, true},    // duplicate insert of a present edge
       {4, 3, true},    // same edge, reversed endpoints
       {9, 12, false},  // delete of an absent edge
-      {5, 5, true},    // self loop (dropped at staging)
+      {5, 5, true},    // self loop (dropped)
       {7, 8, false},   // delete-then-reinsert nets out
       {7, 8, true},
       {10, 14, true},  // insert-then-delete nets out
       {10, 14, false},
   };
-  auto overlay = ApplyUpdatesToOverlay(base, nullptr, Stamp(base, noop));
+  auto overlay = ApplyUpdatesToOverlay(base, nullptr, noop);
   EXPECT_EQ(overlay, nullptr);
 
   // Chaining onto a real overlay: reverting a patched vertex back to
@@ -161,12 +152,11 @@ TEST(DeltaOverlayPropertyTest, NetNoOpUpdatesProduceNullOverlay) {
   // the rebase can only override vertices the overlay still mentions).
   // The view equals the base, and the patch dies at the next swap.
   const std::vector<EdgeUpdate> insert = {{0, 8, true}};
-  auto patched = ApplyUpdatesToOverlay(base, nullptr, Stamp(base, insert));
+  auto patched = ApplyUpdatesToOverlay(base, nullptr, insert);
   ASSERT_NE(patched, nullptr);
   EXPECT_EQ(patched->num_patched(), 2u);  // both endpoints
   const std::vector<EdgeUpdate> revert = {{0, 8, false}};
-  auto reverted =
-      ApplyUpdatesToOverlay(base, patched.get(), Stamp(base, revert));
+  auto reverted = ApplyUpdatesToOverlay(base, patched.get(), revert);
   ASSERT_NE(reverted, nullptr);
   EXPECT_EQ(reverted->num_patched(), 2u);
   ExpectSameGraph(Graph::OverlayView(base, reverted.get()), base,
@@ -182,7 +172,7 @@ TEST(DeltaOverlayPropertyTest, NetNoOpUpdatesProduceNullOverlay) {
 TEST(DeltaOverlayPropertyTest, RebaseDropsFoldedPatchesKeepsNewOnes) {
   Graph base = ErdosRenyi(200, 400, /*seed=*/23);
   const std::vector<EdgeUpdate> first = {{0, 100, true}, {1, 101, true}};
-  auto overlay_a = ApplyUpdatesToOverlay(base, nullptr, Stamp(base, first));
+  auto overlay_a = ApplyUpdatesToOverlay(base, nullptr, first);
   ASSERT_NE(overlay_a, nullptr);
 
   // "Compaction": rebuild a fresh CSR equal to base + first.
@@ -197,8 +187,7 @@ TEST(DeltaOverlayPropertyTest, RebaseDropsFoldedPatchesKeepsNewOnes) {
   // pinned: only its patches survive, and the rebased view equals the
   // full oracle.
   const std::vector<EdgeUpdate> second = {{2, 102, true}, {0, 100, false}};
-  auto overlay_b =
-      ApplyUpdatesToOverlay(base, overlay_a.get(), Stamp(base, second));
+  auto overlay_b = ApplyUpdatesToOverlay(base, overlay_a.get(), second);
   ASSERT_NE(overlay_b, nullptr);
   auto rebased = RebaseOverlay(fresh, overlay_b.get());
   ASSERT_NE(rebased, nullptr);
@@ -217,7 +206,7 @@ TEST(DeltaOverlayPropertyTest, MaterializeEdgesRoundTripsSerialAndParallel) {
     Rng rng(seed);
     Graph base = ErdosRenyi(300, 900, rng.Next());
     const std::vector<EdgeUpdate> ops = RandomUpdates(base, 48, rng);
-    auto overlay = ApplyUpdatesToOverlay(base, nullptr, Stamp(base, ops));
+    auto overlay = ApplyUpdatesToOverlay(base, nullptr, ops);
     const Graph view = Graph::OverlayView(base, overlay.get());
 
     EdgeSet set = GraphToSet(base);
@@ -235,40 +224,95 @@ TEST(DeltaOverlayPropertyTest, MaterializeEdgesRoundTripsSerialAndParallel) {
   }
 }
 
-// Concurrent staging: every op appended from racing threads survives
-// into one total Drain order with distinct, dense sequence stamps.
-TEST(DeltaOverlayPropertyTest, DeltaBufferConcurrentAppendLosesNothing) {
-  const Vertex n = 1024;
-  DeltaBuffer buffer(n);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 500;
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      Rng rng(static_cast<uint64_t>(t) + 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const Vertex u = static_cast<Vertex>(rng.NextBounded(n));
-        const Vertex v = static_cast<Vertex>(rng.NextBounded(n - 1));
-        EdgeUpdate op{u, v == u ? n - 1 : v, true};
-        buffer.Append({&op, 1});
+// Concurrent publishers: four threads publish disjoint batches while a
+// reader pins and drops snapshots and one compaction swap lands mid-run.
+// Every batch gets its own content version, and the final view equals
+// the CSR rebuilt from the union of all batches.
+TEST(DeltaOverlayPropertyTest, ConcurrentApplyBatchLosesNothing) {
+  constexpr int kWriters = 4;
+  constexpr int kBatchesPerWriter = 40;
+  constexpr Vertex kRange = 64;  // writer t owns [t*kRange, (t+1)*kRange)
+  const Vertex n = kWriters * kRange;
+  const Graph base = ErdosRenyi(n, 512, /*seed=*/31);
+  SnapshotManager manager(SnapshotManager::Borrow(base));
+
+  // Each batch touches only its writer's range, so the union of the
+  // batches does not depend on how publishers interleave.
+  std::vector<std::vector<std::vector<EdgeUpdate>>> batches(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    Rng rng(static_cast<uint64_t>(t) + 1);
+    const Vertex lo = static_cast<Vertex>(t) * kRange;
+    for (int b = 0; b < kBatchesPerWriter; ++b) {
+      std::vector<EdgeUpdate> batch;
+      for (int i = 0; i < 6; ++i) {
+        const Vertex u = lo + static_cast<Vertex>(rng.NextBounded(kRange));
+        Vertex v = lo + static_cast<Vertex>(rng.NextBounded(kRange - 1));
+        if (v >= u) ++v;  // never a self loop: every batch publishes
+        batch.push_back({u, v, rng.NextBounded(100) < 70});
       }
+      batches[t].push_back(std::move(batch));
+    }
+  }
+
+  std::atomic<int> writers_done{0};
+  std::vector<std::vector<uint64_t>> versions(kWriters);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::vector<EdgeUpdate>& batch : batches[t]) {
+        versions[t].push_back(manager.ApplyBatch(batch));
+      }
+      writers_done.fetch_add(1);
     });
   }
-  for (std::thread& t : writers) t.join();
+  threads.emplace_back([&] {  // reader: pinned versions never go back
+    uint64_t last = 0;
+    while (writers_done.load() < kWriters) {
+      SnapshotManager::Ref snap = manager.Pin();
+      EXPECT_GE(snap->version(), last);
+      last = snap->version();
+      EXPECT_EQ(snap->graph().num_vertices(), n);
+    }
+  });
+  threads.emplace_back([&] {  // one compaction, racing the publishers
+    while (manager.GetStats().publishes < kWriters * kBatchesPerWriter / 2 &&
+           writers_done.load() < kWriters) {
+      std::this_thread::yield();
+    }
+    SnapshotManager::Ref cur = manager.Pin();
+    auto fresh = std::make_shared<const Graph>(
+        Graph::FromEdges(n, MaterializeEdges(cur->graph())));
+    manager.InstallCompacted(cur->version(), std::move(fresh));
+  });
+  for (std::thread& t : threads) t.join();
 
-  std::vector<StampedUpdate> ops = buffer.Drain();
-  ASSERT_EQ(ops.size(), static_cast<size_t>(kThreads * kOpsPerThread));
-  for (size_t i = 1; i < ops.size(); ++i) {
-    ASSERT_LT(ops[i - 1].seq, ops[i].seq) << "index " << i;
+  std::set<uint64_t> distinct;
+  size_t published = 0;
+  for (const std::vector<uint64_t>& v : versions) {
+    distinct.insert(v.begin(), v.end());
+    published += v.size();
   }
-  EXPECT_EQ(buffer.pending(), 0u);
-  EXPECT_EQ(buffer.Drain().size(), 0u);
+  const size_t total = static_cast<size_t>(kWriters * kBatchesPerWriter);
+  EXPECT_EQ(published, total);
+  EXPECT_EQ(distinct.size(), total);
+  const SnapshotStats stats = manager.GetStats();
+  EXPECT_EQ(stats.publishes, total);
+  EXPECT_EQ(stats.compact_swaps, 1u);
+  EXPECT_EQ(stats.content_version, 1 + total);
+
+  EdgeSet set = GraphToSet(base);
+  for (const auto& writer : batches) {
+    for (const std::vector<EdgeUpdate>& batch : writer) ApplyToSet(set, batch);
+  }
+  ExpectSameGraph(manager.Pin()->graph(),
+                  Graph::FromEdges(n, SetToEdges(set)), "final view");
 }
 
-// Epoch-based reclamation: a pinned retired snapshot stays resident; the
-// old owned base CSR is actually freed (weak_ptr expiry) once its epoch
-// drains after a compaction swap.
-TEST(DeltaOverlayPropertyTest, SnapshotReclamationFollowsEpochDrain) {
+// Snapshot lifetime is the shared_ptr's: a pinned superseded snapshot
+// stays resident, and the old owned base CSR is freed (weak_ptr expiry)
+// the moment the last Ref to it drops after a compaction swap — no
+// reclaim call involved.
+TEST(DeltaOverlayPropertyTest, SupersededBaseFreedWhenLastRefDrops) {
   auto owned = std::make_shared<const Graph>(Path(32));
   std::weak_ptr<const Graph> old_base = owned;
   SnapshotManager manager(std::move(owned));
@@ -276,7 +320,7 @@ TEST(DeltaOverlayPropertyTest, SnapshotReclamationFollowsEpochDrain) {
   SnapshotManager::Ref pinned = manager.Pin();
   const std::vector<EdgeUpdate> batch = {{0, 9, true}};
   EXPECT_EQ(manager.ApplyBatch(batch), 2u);
-  // Version 1 is retired but the pin holds its epoch.
+  // Version 1 is superseded but the pin holds it.
   EXPECT_EQ(manager.GetStats().retired, 1u);
   EXPECT_EQ(pinned->graph().Degree(0), 1u);  // still the old chain
 
@@ -292,15 +336,14 @@ TEST(DeltaOverlayPropertyTest, SnapshotReclamationFollowsEpochDrain) {
   EXPECT_EQ(stats.compact_swaps, 1u);
   EXPECT_EQ(stats.content_version, 2u);
   EXPECT_EQ(stats.overlay_patched_vertices, 0u);
-  // The original base is still reachable through the pinned snapshot.
+  // Version 2 (overlay on the old base) had no pin left and is gone;
+  // the original base is still reachable through the pinned version 1.
+  EXPECT_EQ(stats.retired, 1u);
   EXPECT_FALSE(old_base.expired());
 
-  pinned = SnapshotManager::Ref();  // drop the last pin on the old epoch
-  manager.ReclaimDrained();
-  stats = manager.GetStats();
-  EXPECT_EQ(stats.retired, 0u);
-  EXPECT_GE(stats.reclaimed, 2u);  // versions 1 and 2 both released
-  EXPECT_TRUE(old_base.expired()) << "old base CSR leaked past its epoch";
+  pinned.reset();  // the last Ref on the old base
+  EXPECT_TRUE(old_base.expired()) << "old base CSR outlived its last Ref";
+  EXPECT_EQ(manager.GetStats().retired, 0u);
 
   // The surviving snapshot answers from the compacted CSR.
   SnapshotManager::Ref after = manager.Pin();
@@ -308,23 +351,24 @@ TEST(DeltaOverlayPropertyTest, SnapshotReclamationFollowsEpochDrain) {
   EXPECT_EQ(after->graph().Degree(0), 2u);  // chain edge + inserted (0,9)
 }
 
-// Stage() is the concurrent-writer path: staged ops ride along with the
-// next ApplyBatch publication.
-TEST(DeltaOverlayPropertyTest, StagedUpdatesPublishWithNextBatch) {
-  Graph base = Path(16);
+// Batches with no edge left after normalization publish nothing: the
+// caller gets the current content version back and no snapshot moves.
+TEST(DeltaOverlayPropertyTest, SelfLoopAndEmptyBatchesPublishNothing) {
+  const Graph base = Path(16);
   SnapshotManager manager(SnapshotManager::Borrow(base));
+  const std::vector<EdgeUpdate> grow = {{0, 8, true}};
+  EXPECT_EQ(manager.ApplyBatch(grow), 2u);
+  const SnapshotManager::Ref before = manager.Pin();
 
-  const std::vector<EdgeUpdate> staged = {{0, 8, true}};
-  manager.Stage(staged);
-  EXPECT_EQ(manager.GetStats().pending_updates, 1u);
-  // Not yet visible.
-  EXPECT_EQ(manager.Pin()->graph().Degree(0), 1u);
+  const std::vector<EdgeUpdate> self_loops = {{3, 3, true}, {7, 7, false}};
+  EXPECT_EQ(manager.ApplyBatch(self_loops), 2u);
+  EXPECT_EQ(manager.ApplyBatch({}), 2u);
 
-  const std::vector<EdgeUpdate> batch = {{0, 12, true}};
-  EXPECT_EQ(manager.ApplyBatch(batch), 2u);
-  SnapshotManager::Ref ref = manager.Pin();
-  EXPECT_EQ(manager.GetStats().pending_updates, 0u);
-  EXPECT_EQ(ref->graph().Degree(0), 3u);  // (0,1), (0,8), (0,12)
+  const SnapshotStats stats = manager.GetStats();
+  EXPECT_EQ(stats.version, 2u);
+  EXPECT_EQ(stats.publishes, 1u);
+  EXPECT_EQ(stats.updates_applied, 1u);
+  EXPECT_EQ(manager.Pin(), before);  // the very same snapshot
 }
 
 }  // namespace

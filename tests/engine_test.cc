@@ -402,6 +402,27 @@ TEST(QueryEngineTest, InvalidQueriesAreRejectedNotTraversed) {
   EXPECT_EQ(stats.batches_run + stats.single_runs, 0u);
 }
 
+// A k-hop query that names no radius gets the wire protocol's default
+// one, in process as over a socket: the cumulative sizes for hops
+// 0..max_hops, not 65,536 of them.
+TEST(QueryEngineTest, DefaultKHopRadiusMatchesWireDefault) {
+  Graph graph = Path(100);
+  WorkerPool pool({.num_workers = 2, .pin_threads = false});
+  QueryEngine engine(graph, &pool);
+  const Level wire_default = server::QueryRequest{}.max_hops;
+  EXPECT_EQ(Query{}.max_hops, wire_default);
+
+  Query query;
+  query.type = QueryType::kKHop;
+  query.source = 50;
+  const QueryResult result = engine.Submit(std::move(query)).result.get();
+  ASSERT_EQ(result.status, QueryStatus::kOk);
+  std::vector<Level> levels(graph.num_vertices());
+  SequentialBfs(graph, 50, levels.data());
+  EXPECT_EQ(result.khop_sizes, KHopSizesFromLevels(levels, wire_default));
+  EXPECT_EQ(result.khop_sizes.size(), static_cast<size_t>(wire_default) + 1);
+}
+
 TEST(QueryEngineTest, CancelBeforeDispatch) {
   Graph graph = Path(50);
   WorkerPool pool({.num_workers = 2, .pin_threads = false});

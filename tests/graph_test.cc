@@ -98,6 +98,22 @@ TEST(GraphTest, FromCsrRoundTrip) {
   }
 }
 
+// The snapshot fast path: a never-updated engine traverses its graph
+// through a null-overlay view, which must hand out the base CSR's own
+// adjacency (same pointer, same degree) — no copy, no patch lookup.
+TEST(GraphTest, NullOverlayViewAliasesBaseAdjacency) {
+  const Graph base = ErdosRenyi(512, 2048, /*seed=*/5);
+  const Graph view = Graph::OverlayView(base, nullptr);
+  EXPECT_FALSE(view.has_overlay());
+  ASSERT_EQ(view.num_vertices(), base.num_vertices());
+  EXPECT_EQ(view.num_directed_edges(), base.num_directed_edges());
+  for (Vertex v = 0; v < base.num_vertices(); ++v) {
+    ASSERT_EQ(view.Degree(v), base.Degree(v)) << "vertex " << v;
+    ASSERT_EQ(view.Neighbors(v).data(), base.Neighbors(v).data())
+        << "vertex " << v;
+  }
+}
+
 TEST(StructuredGraphsTest, PathShape) {
   Graph g = Path(5);
   EXPECT_EQ(g.num_edges(), 4u);

@@ -311,6 +311,49 @@ TEST(ServerE2eTest, MalformedFrameClosesConnection) {
   srv.Stop();
 }
 
+// An edge update naming a vertex outside the graph is well-formed on
+// the wire (the decoder cannot know |V|) but must not reach the engine,
+// whose range check aborts the process. It closes that session as a
+// protocol error; the server keeps serving everyone else, and nothing
+// in the frame is applied.
+TEST(ServerE2eTest, OutOfRangeEdgeUpdateClosesOnlyItsSession) {
+  const Graph graph = ErdosRenyi(100, 300, 3);
+  WorkerPool pool({.num_workers = 2, .pin_threads = false});
+  QueryEngine engine(graph, &pool);
+  PbfsServer srv(&engine, {});
+  ASSERT_TRUE(srv.Start());
+
+  PbfsClient bad;
+  ASSERT_TRUE(bad.Connect({.port = srv.port()}));
+  UpdateRequest upd;
+  upd.request_id = 1;
+  upd.updates = {{0, 1, true}, {5, 1000, true}};
+  UpdateResponse ack;
+  std::string error;
+  // The server closes without acking.
+  EXPECT_FALSE(bad.ApplyUpdates(upd, &ack, &error));
+  for (int i = 0; i < 100; ++i) {
+    if (srv.GetStats().protocol_errors > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(srv.GetStats().protocol_errors, 1u);
+  EXPECT_EQ(srv.GetStats().updates_applied, 0u);
+
+  PbfsClient good;
+  ASSERT_TRUE(good.Connect({.port = srv.port()}));
+  QueryRequest req;
+  req.request_id = 2;
+  req.type = QueryType::kLevels;
+  req.source = 5;
+  QueryResponse resp;
+  ASSERT_TRUE(good.Call(req, &resp, &error)) << error;
+  ASSERT_EQ(resp.status, QueryStatus::kOk);
+  EXPECT_EQ(resp.snapshot_version, 1u);  // not even (0, 1) was applied
+  EXPECT_EQ(DiffWireResponse(graph, req, resp), "");
+  EXPECT_EQ(engine.SnapshotInfo().content_version, 1u);
+  srv.Stop();
+}
+
 TEST(ServerE2eTest, GracefulStopUnderPendingLoadDoesNotHang) {
   const Graph graph = ErdosRenyi(1024, 4096, 5);
   WorkerPool pool({.num_workers = 2, .pin_threads = false});

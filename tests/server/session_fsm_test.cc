@@ -264,6 +264,34 @@ TEST(SessionFsmTest, MalformedFrameClosesWithProtocolError) {
   EXPECT_TRUE(out.empty());
 }
 
+// A well-formed request the server refuses to serve (an edge update
+// naming a vertex outside the graph) closes the session as a protocol
+// error from whatever open state decoding left it in.
+TEST(SessionFsmTest, InvalidRequestClosesWithProtocolError) {
+  SessionOptions o = SmallTimeouts();
+  o.max_inflight = 2;
+  o.resume_inflight = 1;
+  {
+    Session s(1, o, 0);
+    std::vector<Request> out;
+    ASSERT_TRUE(s.OnBytes(QueryFrame(1), 0, &out));
+    ASSERT_EQ(s.state(), SessionState::kAwaitFrame);
+    s.OnInvalidRequest("endpoint out of range", 1 * kMs);
+    EXPECT_EQ(s.state(), SessionState::kClosed);
+    EXPECT_EQ(s.close_reason(), "protocol_error");
+    EXPECT_EQ(s.decode_error(), "endpoint out of range");
+  }
+  {
+    Session s(2, o, 0);
+    std::vector<Request> out;
+    ASSERT_TRUE(s.OnBytes(QueryFrame(1) + QueryFrame(2), 0, &out));
+    ASSERT_EQ(s.state(), SessionState::kBackpressured);
+    s.OnInvalidRequest("endpoint out of range", 1 * kMs);
+    EXPECT_EQ(s.state(), SessionState::kClosed);
+    EXPECT_EQ(s.close_reason(), "protocol_error");
+  }
+}
+
 TEST(SessionFsmTest, OversizedFrameClosesWithProtocolError) {
   SessionOptions o = SmallTimeouts();
   o.max_frame_bytes = 64;
