@@ -128,13 +128,18 @@ void BM_FullSmsPbfs(benchmark::State& state) {
   SerialExecutor serial;
   auto bfs = MakeSmsPbfs(g, variant, &serial);
   Vertex source = PickSources(g, 1, 3)[0];
+  std::vector<Level> row(state.range(1) == 0 ? 0 : g.num_vertices());
+  Level* levels = row.empty() ? nullptr : row.data();
   for (auto _ : state) {
-    BfsResult r = bfs->Run(source, BfsOptions{}, nullptr);
+    BfsResult r = bfs->Run(source, BfsOptions{}, levels);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
-BENCHMARK(BM_FullSmsPbfs)->Arg(0)->Arg(1)->ArgName("bit0_byte1");
+// Second arg: no output (0, the null sink) or one full level row (1,
+// the full-levels sink), the two instantiations of the kernel template.
+BENCHMARK(BM_FullSmsPbfs)->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"bit0_byte1", "null0_row1"});
 
 void BM_FullMsPbfsBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));

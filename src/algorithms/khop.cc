@@ -36,16 +36,4 @@ KHopResult KHopNeighborhoods(const Graph& graph,
   return result;
 }
 
-std::vector<uint64_t> KHopSizesFromLevels(std::span<const Level> levels,
-                                          Level max_hops) {
-  std::vector<uint64_t> sizes(static_cast<size_t>(max_hops) + 1, 0);
-  // Count per exact hop, then prefix-sum to cumulative.
-  for (const Level l : levels) {
-    if (l == kLevelUnreached || l == 0 || l > max_hops) continue;
-    ++sizes[l];
-  }
-  for (Level h = 1; h <= max_hops; ++h) sizes[h] += sizes[h - 1];
-  return sizes;
-}
-
 }  // namespace pbfs

@@ -29,13 +29,6 @@ KHopResult KHopNeighborhoods(const Graph& graph,
                              std::span<const Vertex> queries, Level max_hops,
                              Executor* executor, int width = 64);
 
-// Cumulative neighborhood sizes read off one already computed level
-// array (one row of a batched BFS output): result[h] = number of
-// vertices with 0 < level <= h, for h in [0, max_hops]. The query
-// engine's answer for a lone k-hop query, and the tests' oracle.
-std::vector<uint64_t> KHopSizesFromLevels(std::span<const Level> levels,
-                                          Level max_hops);
-
 }  // namespace pbfs
 
 #endif  // PBFS_ALGORITHMS_KHOP_H_

@@ -26,8 +26,8 @@
 //   driver.Run(/*frontier_vertices=*/1, graph.Degree(source), &result,
 //              [&](Direction direction, Level depth) { ... });
 //
-// A multi-source kernel also passes its result sink's early exit,
-// polled once between levels:
+// A kernel also passes its result sink's early exit, polled once
+// between levels:
 //
 //   driver.Run(..., [&](Direction d, Level depth) { ... },
 //              [&](Level depth) { return sink.Done(depth); });
@@ -196,8 +196,8 @@ class LevelDriver {
   // level(Direction, Level depth) and must run the whole level, leaving
   // the discovered vertices as the next frontier. `done(depth)` is
   // polled once before each level with the depth finished so far (0 =
-  // the seeded sources); multi-source kernels pass their result sink's
-  // Done (bfs/result_sink.h). `result` arrives seeded with the sources'
+  // the seeded sources); the kernels pass their result sink's Done
+  // (bfs/result_sink.h). `result` arrives seeded with the sources'
   // visits and accumulates the rest (vertices_visited from discovered
   // vertices, total_visits from visits).
   template <typename Result, typename LevelFn, typename DoneFn = NeverDone>

@@ -47,6 +47,19 @@ class QueuePbfs final : public SingleSourceBfsBase {
 
   BfsResult Run(Vertex source, const BfsOptions& options,
                 Level* levels) override {
+    return RunWithLevels(levels, 1, graph_.num_vertices(), [&](auto& sink) {
+      return Traverse(source, options, sink);
+    });
+  }
+
+  BfsResult Run(Vertex source, const BfsOptions& options,
+                BatchSink& sink) override {
+    return Traverse(source, options, sink);
+  }
+
+ private:
+  template <typename Sink>
+  BfsResult Traverse(Vertex source, const BfsOptions& options, Sink& sink) {
     const Vertex n = graph_.num_vertices();
     PBFS_CHECK(source < n);
     LevelDriver driver(graph_, options, executor_->num_workers(),
@@ -56,42 +69,41 @@ class QueuePbfs final : public SingleSourceBfsBase {
     std::memset(seen_.data(), 0, seen_.size_bytes());
     std::memset(front_bits_.data(), 0, front_bits_.size_bytes());
     std::memset(next_bits_.data(), 0, next_bits_.size_bytes());
-    if (levels != nullptr) std::fill(levels, levels + n, kLevelUnreached);
 
     SetSeen(source);
-    if (levels != nullptr) levels[source] = 0;
+    sink.Visit(0, source, kSingleSourceBit, 0);
     frontier_[0] = source;
     uint64_t frontier_size = 1;
     bool frontier_is_queue = true;
 
     BfsResult result{.vertices_visited = 1};
-    driver.Run(1, graph_.Degree(source), &result,
-               [&](Direction direction, Level depth) {
-                 if (direction == Direction::kBottomUp) {
-                   if (frontier_is_queue) {
-                     QueueToBitmap(frontier_size);
-                     frontier_is_queue = false;
-                   }
-                   frontier_size =
-                       BottomUpStep(driver, n, depth, levels, options);
-                   std::swap(front_bits_, next_bits_);
-                   // next_bits_ now holds the old frontier bitmap; clear
-                   // for reuse.
-                   std::memset(next_bits_.data(), 0, next_bits_.size_bytes());
-                 } else {
-                   if (!frontier_is_queue) {
-                     frontier_size = BitmapToQueue(frontier_size);
-                     frontier_is_queue = true;
-                   }
-                   frontier_size = TopDownStep(driver, frontier_size, depth,
-                                               levels, options);
-                   std::swap(frontier_, next_);
-                 }
-               });
+    driver.Run(
+        1, graph_.Degree(source), &result,
+        [&](Direction direction, Level depth) {
+          if (direction == Direction::kBottomUp) {
+            if (frontier_is_queue) {
+              QueueToBitmap(frontier_size);
+              frontier_is_queue = false;
+            }
+            frontier_size = BottomUpStep(driver, n, depth, sink, options);
+            std::swap(front_bits_, next_bits_);
+            // next_bits_ now holds the old frontier bitmap; clear for
+            // reuse.
+            std::memset(next_bits_.data(), 0, next_bits_.size_bytes());
+          } else {
+            if (!frontier_is_queue) {
+              frontier_size = BitmapToQueue(frontier_size);
+              frontier_is_queue = true;
+            }
+            frontier_size =
+                TopDownStep(driver, frontier_size, depth, sink, options);
+            std::swap(frontier_, next_);
+          }
+        },
+        [&](Level depth) { return sink.Done(depth); });
     return result;
   }
 
- private:
   bool TestSeen(Vertex v) {
     // Atomic load: other workers concurrently fetch-OR into these words
     // during the top-down phase.
@@ -108,8 +120,9 @@ class QueuePbfs final : public SingleSourceBfsBase {
     return (prev & bit) == 0;
   }
 
+  template <typename Sink>
   uint64_t TopDownStep(LevelDriver& driver, uint64_t frontier_size,
-                       Level depth, Level* levels, const BfsOptions& options) {
+                       Level depth, Sink& sink, const BfsOptions& options) {
     std::atomic<uint64_t> tail{0};
     const uint32_t split =
         std::max<uint32_t>(1, std::min<uint64_t>(options.split_size,
@@ -133,7 +146,7 @@ class QueuePbfs final : public SingleSourceBfsBase {
           ++local.neighbors_visited;
           if (TestSeen(nb)) continue;  // cheap pre-check before the RMW
           if (ClaimSeen(nb)) {
-            if (levels != nullptr) levels[nb] = depth;
+            sink.Visit(w, nb, kSingleSourceBit, depth);
             buffer.push_back(nb);
             if (buffer.size() == buffer.capacity()) flush();
             ++local.discovered;
@@ -147,8 +160,9 @@ class QueuePbfs final : public SingleSourceBfsBase {
     return tail.load(std::memory_order_relaxed);
   }
 
+  template <typename Sink>
   uint64_t BottomUpStep(LevelDriver& driver, Vertex n, Level depth,
-                        Level* levels, const BfsOptions& options) {
+                        Sink& sink, const BfsOptions& options) {
     std::atomic<uint64_t> awake{0};
     const uint32_t split = std::max<uint32_t>(64, options.split_size) / 64 *
                            64;
@@ -171,7 +185,7 @@ class QueuePbfs final : public SingleSourceBfsBase {
             ++local.neighbors_visited;
             if ((front_bits_[nb >> 6] >> (nb & 63)) & 1) {
               found |= uint64_t{1} << bit;
-              if (levels != nullptr) levels[u] = depth;
+              sink.Visit(w, u, kSingleSourceBit, depth);
               ++found_total;
               local.scout_edges += graph_.Degree(u);
               break;

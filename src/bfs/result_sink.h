@@ -1,7 +1,9 @@
-// Result sinks: where a multi-source traversal delivers what it finds.
+// Result sinks: where a traversal delivers what it finds.
 //
-// The multi-source kernels (MS-BFS, JFQ-MS-BFS, MS-PBFS) are templates
-// over a sink type with two members:
+// Every traversal kernel the query engine runs is a template over a sink
+// type with two members: the multi-source kernels (MS-BFS, JFQ-MS-BFS,
+// MS-PBFS) and the single-source ones (SMS-PBFS bit and byte,
+// queue-PBFS).
 //
 //   template <int W>
 //   void Visit(int worker, Vertex v, const Bitset<W>& bits, Level depth);
@@ -9,7 +11,9 @@
 //     reach `v` at `depth`; the sources are reported at depth 0. Every
 //     (vertex, BFS) pair is reported exactly once. `worker` is the
 //     executor worker running the call; concurrent calls never share a
-//     vertex.
+//     vertex. A single-source kernel is a batch of one: it reports
+//     kSingleSourceBit, bit 0 of a width-64 set, the paper's derivation
+//     of SMS-PBFS from MS-PBFS (Section 3.2) read backwards.
 //   bool Done(Level depth);
 //     Polled by LevelDriver on the coordinating thread after level
 //     `depth` finished (depth 0 = the seeded sources) and before the
@@ -19,12 +23,13 @@
 // sink and a sink's unused work costs nothing:
 //  * NullSink discards everything (benches that time the traversal);
 //  * FullLevelsSink writes one |V|-entry level row per source, the shape
-//    of MultiSourceBfsBase::Run(..., Level*), the registry and the tests;
+//    of the kernels' Run(..., Level*), the registry and the tests;
 //  * BatchSink holds the query engine's per-slot answers: target
 //    distances, k-hop counts, and level rows only for the slots that
 //    want a whole row. Its Done() ends the batch once every answer is
 //    known, so point queries neither write |V|-entry rows nor traverse
-//    the component's tail levels.
+//    the component's tail levels, whether they share a batch or run
+//    alone.
 #ifndef PBFS_BFS_RESULT_SINK_H_
 #define PBFS_BFS_RESULT_SINK_H_
 
@@ -40,6 +45,9 @@
 #include "util/check.h"
 
 namespace pbfs {
+
+// The bits a single-source kernel reports with every Visit.
+inline constexpr Bitset<64> kSingleSourceBit{{1}};
 
 class NullSink {
  public:
@@ -74,8 +82,7 @@ class FullLevelsSink {
 // FullLevelsSink over `levels` (`slots` rows of `n`), or a NullSink
 // when `levels` is null.
 template <typename RunFn>
-MsBfsResult RunWithLevels(Level* levels, size_t slots, Vertex n,
-                          RunFn&& run) {
+auto RunWithLevels(Level* levels, size_t slots, Vertex n, RunFn&& run) {
   if (levels == nullptr) {
     NullSink sink;
     return run(sink);
@@ -115,8 +122,12 @@ class BatchSink final {
   // Ends configuration; call once before the run.
   void Seal();
 
+  // Forced inline: GCC otherwise emits Visit out of line, and the call
+  // per discovery made a lone SMS-PBFS run to one target on the
+  // perfbench point_static graph (4 workers) about 0.15 ms (7%) slower.
   template <int W>
-  void Visit(int worker, Vertex v, const Bitset<W>& bits, Level depth) {
+  [[gnu::always_inline]] void Visit(int worker, Vertex v,
+                                    const Bitset<W>& bits, Level depth) {
     static_assert(W <= kMaxSlots);
     constexpr int kWords = W / 64;
     if (target_mask_[v] != 0) ResolveTargets(v, bits.word, kWords, depth);
@@ -138,8 +149,9 @@ class BatchSink final {
   // traversal never reached it or it was added as unreachable);
   // `target` must have been added for `slot`.
   Level TargetLevel(int slot, Vertex target) const;
-  // Cumulative neighborhood sizes for hops 0..max_hops, the
-  // KHopSizesFromLevels shape, for a slot added with AddKHop.
+  // Cumulative neighborhood sizes for hops 0..max_hops (entry h = the
+  // vertices within h hops, excluding the source), for a slot added
+  // with AddKHop.
   std::vector<uint64_t> KHopSizes(int slot, Level max_hops) const;
 
  private:

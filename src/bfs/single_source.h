@@ -15,12 +15,18 @@
 // inactive vertices are skipped 64 bits at a time without per-vertex
 // branches (similar to Yasui et al.'s bitsets-and-summary, but without
 // an explicit summary bit).
+//
+// Like the multi-source kernels, each kernel is a template over its
+// result sink (bfs/result_sink.h) and reports every discovery with one
+// constant bit: full level rows, nothing, or the query engine's answers
+// for a lone query, which end the traversal once they are known.
 #ifndef PBFS_BFS_SINGLE_SOURCE_H_
 #define PBFS_BFS_SINGLE_SOURCE_H_
 
 #include <memory>
 
 #include "bfs/common.h"
+#include "bfs/result_sink.h"
 #include "graph/graph.h"
 #include "sched/executor.h"
 
@@ -44,6 +50,12 @@ class SingleSourceBfsBase {
   // or be null.
   virtual BfsResult Run(Vertex source, const BfsOptions& options,
                         Level* levels) = 0;
+
+  // Runs one BFS from `source` into `sink` (configured for slot 0 and
+  // sealed by the caller), stopping early once sink.Done() holds. Both
+  // entry points run the same kernel template.
+  virtual BfsResult Run(Vertex source, const BfsOptions& options,
+                        BatchSink& sink) = 0;
 
   virtual SmsVariant variant() const = 0;
 

@@ -49,6 +49,19 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
 
   BfsResult Run(Vertex source, const BfsOptions& options,
                 Level* levels) override {
+    return RunWithLevels(levels, 1, graph_.num_vertices(), [&](auto& sink) {
+      return Traverse(source, options, sink);
+    });
+  }
+
+  BfsResult Run(Vertex source, const BfsOptions& options,
+                BatchSink& sink) override {
+    return Traverse(source, options, sink);
+  }
+
+ private:
+  template <typename Sink>
+  BfsResult Traverse(Vertex source, const BfsOptions& options, Sink& sink) {
     const Vertex n = graph_.num_vertices();
     PBFS_CHECK(source < n);
     const uint32_t split = PageAlignedSplitSize(options.split_size, 1);
@@ -57,25 +70,25 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
     driver.RunArg("source", source);
 
     ClearState(split);
-    if (levels != nullptr) std::fill(levels, levels + n, kLevelUnreached);
     seen_[source] = 1;
     frontier_[source] = 1;
-    if (levels != nullptr) levels[source] = 0;
+    sink.Visit(0, source, kSingleSourceBit, 0);
 
     BfsResult result{.vertices_visited = 1};
-    driver.Run(1, graph_.Degree(source), &result,
-               [&](Direction direction, Level depth) {
-                 if (direction == Direction::kTopDown) {
-                   TopDown(driver, n, split, depth, levels);
-                 } else {
-                   BottomUp(driver, n, split, depth, levels);
-                 }
-                 std::swap(frontier_, next_);
-               });
+    driver.Run(
+        1, graph_.Degree(source), &result,
+        [&](Direction direction, Level depth) {
+          if (direction == Direction::kTopDown) {
+            TopDown(driver, n, split, depth, sink);
+          } else {
+            BottomUp(driver, n, split, depth, sink);
+          }
+          std::swap(frontier_, next_);
+        },
+        [&](Level depth) { return sink.Done(depth); });
     return result;
   }
 
- private:
   void ClearState(uint32_t split) {
     executor_->FirstTouchFor(
         graph_.num_vertices(), split, [this](int, uint64_t b, uint64_t e) {
@@ -104,8 +117,9 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
     }
   }
 
+  template <typename Sink>
   void TopDown(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
-               Level* levels) {
+               Sink& sink) {
     // Listing 3, first loop. The only cross-worker writes are the
     // benign stores of `1` into next[nb]; a plain atomic store replaces
     // MS-PBFS's CAS loop.
@@ -134,7 +148,7 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
           return;
         }
         seen_[v] = 1;
-        if (levels != nullptr) levels[v] = depth;
+        sink.Visit(w, static_cast<Vertex>(v), kSingleSourceBit, depth);
         ++local.discovered;
         local.scout_edges += graph_.Degree(static_cast<Vertex>(v));
       });
@@ -142,8 +156,9 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
     });
   }
 
+  template <typename Sink>
   void BottomUp(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
-                Level* levels) {
+                Sink& sink) {
     // Listing 4. Vertices are examined 8 at a time through the seen
     // array: a chunk where every byte is nonzero can be skipped after
     // clearing any stale next entries.
@@ -163,7 +178,7 @@ class SmsPbfsByte final : public SingleSourceBfsBase {
         }
         if (next_[v] != 0) {
           seen_[v] = 1;
-          if (levels != nullptr) levels[v] = depth;
+          sink.Visit(w, static_cast<Vertex>(v), kSingleSourceBit, depth);
           ++local.discovered;
           local.scout_edges += graph_.Degree(static_cast<Vertex>(v));
         }
@@ -204,6 +219,19 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
 
   BfsResult Run(Vertex source, const BfsOptions& options,
                 Level* levels) override {
+    return RunWithLevels(levels, 1, graph_.num_vertices(), [&](auto& sink) {
+      return Traverse(source, options, sink);
+    });
+  }
+
+  BfsResult Run(Vertex source, const BfsOptions& options,
+                BatchSink& sink) override {
+    return Traverse(source, options, sink);
+  }
+
+ private:
+  template <typename Sink>
+  BfsResult Traverse(Vertex source, const BfsOptions& options, Sink& sink) {
     const Vertex n = graph_.num_vertices();
     PBFS_CHECK(source < n);
     // Tasks must not straddle 64-bit words of the state arrays.
@@ -214,25 +242,25 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
     driver.RunArg("source", source);
 
     ClearState();
-    if (levels != nullptr) std::fill(levels, levels + n, kLevelUnreached);
     SetBit(seen_.data(), source);
     SetBit(frontier_.data(), source);
-    if (levels != nullptr) levels[source] = 0;
+    sink.Visit(0, source, kSingleSourceBit, 0);
 
     BfsResult result{.vertices_visited = 1};
-    driver.Run(1, graph_.Degree(source), &result,
-               [&](Direction direction, Level depth) {
-                 if (direction == Direction::kTopDown) {
-                   TopDown(driver, n, split, depth, levels);
-                 } else {
-                   BottomUp(driver, n, split, depth, levels);
-                 }
-                 std::swap(frontier_, next_);
-               });
+    driver.Run(
+        1, graph_.Degree(source), &result,
+        [&](Direction direction, Level depth) {
+          if (direction == Direction::kTopDown) {
+            TopDown(driver, n, split, depth, sink);
+          } else {
+            BottomUp(driver, n, split, depth, sink);
+          }
+          std::swap(frontier_, next_);
+        },
+        [&](Level depth) { return sink.Done(depth); });
     return result;
   }
 
- private:
   static bool TestBit(const uint64_t* words, Vertex v) {
     return (words[v >> 6] >> (v & 63)) & 1;
   }
@@ -257,8 +285,9 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
     return valid <= 0 ? 0 : (uint64_t{1} << valid) - 1;
   }
 
+  template <typename Sink>
   void TopDown(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
-               Level* levels) {
+               Sink& sink) {
     // First loop over frontier words; zero words are skipped (the
     // chunk-skipping optimization: one check covers 64 vertices).
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
@@ -300,7 +329,7 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
           int bit = std::countr_zero(bits);
           bits &= bits - 1;
           Vertex v = static_cast<Vertex>(i * 64 + bit);
-          if (levels != nullptr) levels[v] = depth;
+          sink.Visit(w, v, kSingleSourceBit, depth);
           ++local.discovered;
           local.scout_edges += graph_.Degree(v);
         }
@@ -309,8 +338,9 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
     });
   }
 
+  template <typename Sink>
   void BottomUp(LevelDriver& driver, Vertex n, uint32_t split, Level depth,
-                Level* levels) {
+                Sink& sink) {
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
       LevelTask local = driver.BeginTask(w);
       uint64_t word_begin = b >> 6;
@@ -332,7 +362,7 @@ class SmsPbfsBit final : public SingleSourceBfsBase {
             ++local.neighbors_visited;
             if (TestBit(frontier_.data(), nb)) {
               found |= uint64_t{1} << bit;
-              if (levels != nullptr) levels[u] = depth;
+              sink.Visit(w, u, kSingleSourceBit, depth);
               ++local.discovered;
               local.scout_edges += graph_.Degree(u);
               break;

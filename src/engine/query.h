@@ -1,14 +1,14 @@
 // Typed BFS queries and results for the concurrent query engine.
 //
 // A Query is one independent traversal request from one client: the
-// engine answers it from a coalesced MS-PBFS batch's result sink, or
-// from the level array of a single-source fallback run (see
-// query_engine.h). The types cover the BFS applications named in
-// the paper's introduction: full distance labelings, point-to-point
-// distances, reachability, and k-hop neighborhood enumeration — plus
-// kPointToPointDistance, the sketch-served single-pair distance that
-// resolves without a traversal when the engine's Cluster-BFS sketch
-// bounds pinch (see sketch/sketch.h and docs/sketches.md).
+// engine answers it from the result sink of a coalesced MS-PBFS batch,
+// or of a single-source run when it is alone (see query_engine.h). The
+// types cover the BFS applications named in the paper's introduction:
+// full distance labelings, point-to-point distances, reachability, and
+// k-hop neighborhood enumeration — plus kPointToPointDistance, the
+// sketch-served single-pair distance that resolves without a traversal
+// when the engine's Cluster-BFS sketch bounds pinch (see
+// sketch/sketch.h and docs/sketches.md).
 #ifndef PBFS_ENGINE_QUERY_H_
 #define PBFS_ENGINE_QUERY_H_
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "algorithms/khop.h"
 #include "bfs/multi_source.h"
 #include "obs/live/metrics_registry.h"
 #include "obs/profiler/sampling_profiler.h"
@@ -537,7 +536,6 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   }
 
   const int width = count == 1 ? 1 : PickWidth(count);
-  MultiSourceBfsBase* kernel = count == 1 ? nullptr : BatchKernel(width);
   batch_span.AddArg("width", static_cast<uint64_t>(width));
   // Every rider crossed the dispatch boundary together; the batch
   // facts (width, sequence) are what explain a query that was fast
@@ -547,47 +545,41 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
     q.query.trace.batch_width = static_cast<uint32_t>(width);
     q.query.trace.batch_seq = batch_seq;
   }
-  // A lone query, or a batch of kLevels queries only, runs the
-  // full-levels kernel into one row per query; any other batch runs
-  // into sink_, with rows only for its kLevels queries.
-  //  * All-kLevels batches skip sink_ because its rows read slower: a
-  //    40-query kLevels burst on the perfbench levels_kron graph took
-  //    30.9 ms median on the full-levels kernel against 33.2 ms through
-  //    sink_, and 44.6 against 47.0 ms in a second set (10 interleaved
-  //    pairs each, full-levels faster in 7 of each; 4 workers).
-  //  * A lone query runs the single-source kernel, which has no sink:
-  //    a lone target query traverses its source's whole component, and
-  //    a lone k-hop query caps the traversal at its radius. A lone
-  //    sketch-fallback p2p query on the perfbench point_static graph
-  //    takes 3.6 ms median this way, 2.7 ms when capped at the sketch's
-  //    upper bound, and 5.6 ms through sink_ on the width-64 kernel.
-  const bool full_rows = count == 1 || level_rows == count;
-  if (full_rows) {
+  // A lone query runs the single-source kernel, any other batch MS-PBFS
+  // of `width`, both into the same outputs. On the perfbench
+  // point_static graph (4 workers), one source to one random target
+  // took 2.7 ms median on the single-source kernel against 5.8 ms on
+  // the width-64 one, both stopping at the target.
+  auto run = [&](auto&& out) {
+    if (count == 1) {
+      single_kernel_->Run(sources[0], options_.bfs, out);
+    } else {
+      BatchKernel(width)->Run(sources, options_.bfs, out);
+    }
+  };
+  // An all-kLevels batch writes one full row per query; any other runs
+  // into sink_, with rows only for its kLevels queries. The full rows
+  // read faster: a 40-query kLevels burst on the perfbench levels_kron
+  // graph took 30.9 ms median on them against 33.2 ms through sink_,
+  // and 44.6 against 47.0 ms in a second set (10 interleaved pairs
+  // each, full rows faster in 7 of each; 4 workers).
+  if (level_rows == count) {
     // resize, not assign: the kernels overwrite every entry of a row
     // (unreached vertices get kLevelUnreached), so re-zeroing the
     // reused buffer would only add a memory pass per batch.
     levels_.resize(count * static_cast<size_t>(n));
-    if (count == 1) {
-      BfsOptions options = options_.bfs;
-      if (batch[0].query.type == QueryType::kKHop) {
-        options.max_level = std::min(options.max_level,
-                                     batch[0].query.max_hops);
-      }
-      single_kernel_->Run(sources[0], options, levels_.data());
-    } else {
-      kernel->Run(sources, options_.bfs, levels_.data());
-    }
+    run(levels_.data());
   } else {
-    RunIntoSink(batch, level_rows, sources, kernel);
+    ConfigureSink(batch, level_rows);
+    run(sink_);
   }
   const int64_t kernel_done_ns = NowNanos();
-  size_t row = 0;  // levels_ holds the rows in batch order
+  size_t row = 0;  // levels_ holds the kLevels rows in batch order
   for (size_t i = 0; i < count; ++i) {
     const Query& q = batch[i].query;
-    QueryResult result =
-        full_rows || q.type == QueryType::kLevels
-            ? ExtractResult(q, levels_.data() + row++ * n)
-            : SinkResult(q, static_cast<int>(i));
+    QueryResult result = q.type == QueryType::kLevels
+                             ? ExtractResult(levels_.data() + row++ * n)
+                             : SinkResult(q, static_cast<int>(i));
     result.snapshot_version = content_version;
     obs::QueryTraceRecord& trace = batch[i].query.trace;
     trace.bound(obs::QueryStageBound::kKernelDone) = kernel_done_ns;
@@ -598,10 +590,8 @@ int QueryEngine::ExecuteBatch(std::vector<PendingQuery>& batch) {
   return width;
 }
 
-void QueryEngine::RunIntoSink(const std::vector<PendingQuery>& batch,
-                              size_t level_rows,
-                              std::span<const Vertex> sources,
-                              MultiSourceBfsBase* kernel) {
+void QueryEngine::ConfigureSink(const std::vector<PendingQuery>& batch,
+                                size_t level_rows) {
   const Vertex n = num_vertices_;
   const Graph& graph = kernels_snapshot_->graph();
   levels_.resize(level_rows * static_cast<size_t>(n));
@@ -631,82 +621,56 @@ void QueryEngine::RunIntoSink(const std::vector<PendingQuery>& batch,
     }
   }
   sink_.Seal();
-  kernel->Run(sources, options_.bfs, sink_);
 }
 
-namespace {
-
-// kDistances, kReachability and kPointToPointDistance answers, given
-// the distance of each target.
-template <typename LevelOf>
-void FillTargetAnswers(const Query& query, LevelOf&& level_of,
-                       QueryResult* result) {
-  switch (query.type) {
-    case QueryType::kDistances:
-      result->levels.reserve(query.targets.size());
-      for (Vertex t : query.targets) result->levels.push_back(level_of(t));
-      break;
-    case QueryType::kReachability:
-      result->reachable.reserve(query.targets.size());
-      for (Vertex t : query.targets) {
-        result->reachable.push_back(level_of(t) != kLevelUnreached ? 1 : 0);
-      }
-      break;
-    case QueryType::kPointToPointDistance: {
-      // Exact path (sketch miss, stale sketch, or sketches disabled):
-      // the traversal pins the bounds on the true distance.
-      const Level distance = level_of(query.targets[0]);
-      result->distance = distance;
-      result->distance_bounds.lower = distance;
-      result->distance_bounds.upper = distance;
-      break;
-    }
-    case QueryType::kLevels:
-    case QueryType::kKHop:
-      PBFS_CHECK(false);
-      break;
-  }
-}
-
-}  // namespace
-
-QueryResult QueryEngine::ExtractResult(const Query& query,
-                                       const Level* row) const {
+QueryResult QueryEngine::ExtractResult(const Level* row) const {
   const Vertex n = num_vertices_;
   QueryResult result;
-  switch (query.type) {
-    case QueryType::kLevels: {
-      // Single pass: copy the row and count reached vertices while it
-      // is still in cache, instead of a copy pass plus a scan pass.
-      result.levels.resize(n);
-      uint64_t reached = 0;
-      for (Vertex v = 0; v < n; ++v) {
-        const Level level = row[v];
-        result.levels[v] = level;
-        reached += level != kLevelUnreached ? 1 : 0;
-      }
-      result.vertices_reached = reached;
-      break;
-    }
-    case QueryType::kKHop:
-      result.khop_sizes = KHopSizesFromLevels(
-          {row, static_cast<size_t>(n)}, query.max_hops);
-      break;
-    default:
-      FillTargetAnswers(query, [row](Vertex t) { return row[t]; }, &result);
-      break;
+  // Single pass: copy the row and count reached vertices while it is
+  // still in cache, instead of a copy pass plus a scan pass.
+  result.levels.resize(n);
+  uint64_t reached = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    const Level level = row[v];
+    result.levels[v] = level;
+    reached += level != kLevelUnreached ? 1 : 0;
   }
+  result.vertices_reached = reached;
   return result;
 }
 
 QueryResult QueryEngine::SinkResult(const Query& query, int slot) const {
   QueryResult result;
-  if (query.type == QueryType::kKHop) {
-    result.khop_sizes = sink_.KHopSizes(slot, query.max_hops);
-    return result;
+  switch (query.type) {
+    case QueryType::kKHop:
+      result.khop_sizes = sink_.KHopSizes(slot, query.max_hops);
+      break;
+    case QueryType::kDistances:
+      result.levels.reserve(query.targets.size());
+      for (Vertex t : query.targets) {
+        result.levels.push_back(sink_.TargetLevel(slot, t));
+      }
+      break;
+    case QueryType::kReachability:
+      result.reachable.reserve(query.targets.size());
+      for (Vertex t : query.targets) {
+        result.reachable.push_back(
+            sink_.TargetLevel(slot, t) != kLevelUnreached ? 1 : 0);
+      }
+      break;
+    case QueryType::kPointToPointDistance: {
+      // Exact path (sketch miss, stale sketch, or sketches disabled):
+      // the traversal pins the bounds on the true distance.
+      const Level distance = sink_.TargetLevel(slot, query.targets[0]);
+      result.distance = distance;
+      result.distance_bounds.lower = distance;
+      result.distance_bounds.upper = distance;
+      break;
+    }
+    case QueryType::kLevels:
+      PBFS_CHECK(false);
+      break;
   }
-  FillTargetAnswers(
-      query, [&](Vertex t) { return sink_.TargetLevel(slot, t); }, &result);
   return result;
 }
 

@@ -12,7 +12,8 @@
 // lone query), runs it on the shared Executor, and fans the batch's
 // result sink back out into per-query results. Point queries read
 // their few answers from the sink, which ends the traversal once they
-// are known; only kLevels queries get whole level rows.
+// are known, whether they share a batch or run alone; only kLevels
+// queries get whole level rows.
 //
 // Dynamic graphs: ApplyUpdates() mutates the edge set in batches. Every
 // query resolves against the immutable snapshot current at admission
@@ -255,15 +256,15 @@ class QueryEngine {
   // created on first use.
   MultiSourceBfsBase* BatchKernel(int width);
   bool IsValid(const Query& query) const;
-  // Runs `batch` (level_rows of them kLevels) on `kernel` into sink_,
-  // with the kLevels rows in levels_ in batch order.
-  void RunIntoSink(const std::vector<PendingQuery>& batch, size_t level_rows,
-                   std::span<const Vertex> sources,
-                   MultiSourceBfsBase* kernel);
-  // The answer read off one full level row.
-  QueryResult ExtractResult(const Query& query, const Level* row) const;
+  // Configures and seals sink_ for `batch` (level_rows of them
+  // kLevels), one slot per query, with the kLevels rows in levels_ in
+  // batch order.
+  void ConfigureSink(const std::vector<PendingQuery>& batch,
+                     size_t level_rows);
+  // The kLevels answer read off one full level row.
+  QueryResult ExtractResult(const Level* row) const;
   // The answer of a non-kLevels query at batch slot `slot`, read off
-  // sink_ after RunIntoSink.
+  // sink_ after the batch ran into it.
   QueryResult SinkResult(const Query& query, int slot) const;
   void CompleteLocked(PendingQuery& pending, QueryStatus status);
   // The sketch fast path, called by Submit() under mutex_ for valid
@@ -299,8 +300,9 @@ class QueryEngine {
   // Dispatcher-thread-only state: the SMS-PBFS instance for lone
   // queries and MS-PBFS instances cached per width, all bound to
   // kernels_snapshot_'s graph, the reusable level rows (one per kLevels
-  // query of the batch, or one for a lone query) and the batch result
-  // sink. The pin keeps the bound graph alive across batches.
+  // query of the batch) and the result sink every other query's
+  // answers go through. The pin keeps the bound graph alive across
+  // batches.
   SnapshotManager::Ref kernels_snapshot_;
   std::unique_ptr<SingleSourceBfsBase> single_kernel_;
   std::vector<std::pair<int, std::unique_ptr<MultiSourceBfsBase>>>

@@ -1,13 +1,16 @@
 // Bounded-depth traversal (BfsOptions::max_level): every kernel must
 // visit exactly the vertices within the radius and report levels capped
-// at the bound. The multi-source batch sink (bfs/result_sink.h) ends a
-// traversal on its own once its answers are known.
+// at the bound. The batch sink (bfs/result_sink.h) ends a traversal on
+// its own once its answers are known, on the multi- and single-source
+// kernels alike.
 
 #include <algorithm>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "algorithms/khop.h"
 #include "bfs/beamer.h"
 #include "bfs/multi_source.h"
 #include "bfs/result_sink.h"
@@ -127,12 +130,24 @@ TEST(BoundedBfsTest, ZeroRadiusVisitsOnlySource) {
   EXPECT_EQ(levels[1], kLevelUnreached);
 }
 
+// The single-source kernels the sink tests run, one instance each.
+std::vector<std::unique_ptr<SingleSourceBfsBase>> SingleSourceKernels(
+    const Graph& g, Executor* executor) {
+  std::vector<std::unique_ptr<SingleSourceBfsBase>> kernels;
+  for (SmsVariant variant :
+       {SmsVariant::kBit, SmsVariant::kByte, SmsVariant::kQueue}) {
+    kernels.push_back(MakeSmsPbfs(g, variant, executor));
+  }
+  return kernels;
+}
+
 // The engine's batch sink ends a traversal at its last target: on a
-// path, a width-64 batch whose targets all lie within 3 hops of their
-// sources runs at most 3 levels, while the full-levels entry point on
-// the same batch still runs the whole component and writes the oracle's
-// rows. A target added as unreachable is answered so and does not hold
-// the batch open, even where the traversal would reach it.
+// path, a width-64 batch (or a lone source on a single-source kernel)
+// whose targets all lie within 3 hops of their sources runs at most 3
+// levels, while the full-levels entry point on the same instance still
+// runs the whole component and writes the oracle's rows. A target added
+// as unreachable is answered so and does not hold the batch open, even
+// where the traversal would reach it.
 TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
   const Vertex n = 1000;
   Graph g = Path(n);
@@ -140,12 +155,15 @@ TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
   for (Vertex i = 0; i < 64; ++i) sources.push_back(i * 15);
   WorkerPool pool({.num_workers = 3, .pin_threads = false});
 
-  auto run_targets = [&](MultiSourceBfsBase* bfs, int num_workers,
-                         const char* name) {
+  // Slot i asks for targets around srcs[i]; `run` runs the sink and
+  // returns the levels it took.
+  auto run_targets = [&](std::span<const Vertex> srcs, int num_workers,
+                         const char* name, auto&& run) {
+    const int slots = static_cast<int>(srcs.size());
     BatchSink sink;
     sink.Reset(n, num_workers);
-    for (int i = 0; i < 64; ++i) {
-      const Vertex s = sources[i];
+    for (int i = 0; i < slots; ++i) {
+      const Vertex s = srcs[i];
       sink.AddTarget(i, s);      // the source itself
       sink.AddTarget(i, s + 3);  // the farthest target
       sink.AddTarget(i, s + 1);
@@ -154,10 +172,9 @@ TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
       if (s + 500 < n) sink.AddUnreachableTarget(i, s + 500);
     }
     sink.Seal();
-    MsBfsResult r = bfs->Run(sources, BfsOptions{}, sink);
-    EXPECT_LE(r.iterations, 3) << name;
-    for (int i = 0; i < 64; ++i) {
-      const Vertex s = sources[i];
+    EXPECT_LE(run(sink), 3) << name;
+    for (int i = 0; i < slots; ++i) {
+      const Vertex s = srcs[i];
       EXPECT_EQ(sink.TargetLevel(i, s), 0) << name << " slot " << i;
       EXPECT_EQ(sink.TargetLevel(i, s + 1), 1) << name << " slot " << i;
       EXPECT_EQ(sink.TargetLevel(i, s + 3), 3) << name << " slot " << i;
@@ -170,12 +187,17 @@ TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
       }
     }
   };
+  auto batch_run = [&](MultiSourceBfsBase* bfs) {
+    return [&sources, bfs](BatchSink& sink) {
+      return bfs->Run(sources, BfsOptions{}, sink).iterations;
+    };
+  };
   auto mspbfs = MakeMsPbfs(g, 64, &pool);
-  run_targets(mspbfs.get(), pool.num_workers(), "ms-pbfs");
+  run_targets(sources, pool.num_workers(), "ms-pbfs", batch_run(mspbfs.get()));
   auto msbfs = MakeMsBfs(g, 64);
-  run_targets(msbfs.get(), 1, "ms-bfs");
+  run_targets(sources, 1, "ms-bfs", batch_run(msbfs.get()));
   auto jfq = MakeJfqMsBfs(g, 64);
-  run_targets(jfq.get(), 1, "jfq");
+  run_targets(sources, 1, "jfq", batch_run(jfq.get()));
 
   // Full rows after a sink run on the same instance: the oracle's rows,
   // and every level of the component (source 0 is 999 hops from the
@@ -191,10 +213,27 @@ TEST(ResultSinkTest, TargetSinkStopsAtLastTarget) {
               -1)
         << "source index " << i;
   }
+
+  // A lone source (15, 984 hops from the far end) on the single-source
+  // kernels, then a full row on the same instance.
+  const Vertex lone = sources[1];
+  const std::vector<Level> expected = testing_util::ReferenceLevels(g, lone);
+  for (auto& bfs : SingleSourceKernels(g, &pool)) {
+    const char* name = SmsVariantName(bfs->variant());
+    run_targets({&lone, 1}, pool.num_workers(), name, [&](BatchSink& sink) {
+      return bfs->Run(lone, BfsOptions{}, sink).iterations;
+    });
+    std::vector<Level> row(n);
+    const BfsResult r = bfs->Run(lone, BfsOptions{}, row.data());
+    EXPECT_EQ(r.iterations, static_cast<int>(n - 1 - lone)) << name;
+    EXPECT_EQ(testing_util::FirstLevelMismatch(expected, row), -1) << name;
+  }
 }
 
 // k-hop counts and level rows share one batch with targets: the counts
 // match the rows, and a row slot keeps the traversal running to the end.
+// A single-source kernel runs a radius-r k-hop slot for exactly r levels,
+// and a row slot to the end.
 TEST(ResultSinkTest, KHopCountsAndRowsMatchFullLevels) {
   Graph g = SocialNetwork({.num_vertices = 2048, .avg_degree = 8.0,
                            .seed = 31});
@@ -224,8 +263,35 @@ TEST(ResultSinkTest, KHopCountsAndRowsMatchFullLevels) {
     if (i == 7) continue;
     const Level radius = static_cast<Level>(i % 4);
     EXPECT_EQ(sink.KHopSizes(i, radius),
-              KHopSizesFromLevels({full.data() + i * n, n}, radius))
+              testing_util::KHopSizesFromLevels({full.data() + i * n, n},
+                                                radius))
         << "slot " << i;
+  }
+
+  const Vertex source = sources[0];
+  const std::vector<Level> expected =
+      testing_util::ReferenceLevels(g, source);
+  for (auto& single : SingleSourceKernels(g, &pool)) {
+    const char* name = SmsVariantName(single->variant());
+    const BfsResult full_single =
+        single->Run(source, BfsOptions{}, row.data());
+    for (Level radius = 0; radius <= 3; ++radius) {
+      sink.Reset(n, pool.num_workers());
+      sink.AddKHop(0, radius);
+      sink.Seal();
+      EXPECT_EQ(single->Run(source, BfsOptions{}, sink).iterations, radius)
+          << name << " radius " << radius;
+      EXPECT_EQ(sink.KHopSizes(0, radius),
+                testing_util::KHopSizesFromLevels(expected, radius))
+          << name << " radius " << radius;
+    }
+    sink.Reset(n, pool.num_workers());
+    sink.AddRow(0, row.data());
+    sink.Seal();
+    EXPECT_EQ(single->Run(source, BfsOptions{}, sink).iterations,
+              full_single.iterations)
+        << name;
+    EXPECT_EQ(testing_util::FirstLevelMismatch(expected, row), -1) << name;
   }
 }
 

@@ -21,13 +21,13 @@
 #include <utility>
 #include <vector>
 
-#include "algorithms/khop.h"
 #include "bfs/sequential.h"
 #include "differential/diff_util.h"
 #include "engine/query.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace pbfs {
@@ -284,8 +284,8 @@ inline std::string DiffResult(const Graph& oracle_graph, const QuerySpec& spec,
       break;
     }
     case QueryType::kKHop: {
-      const std::vector<uint64_t> expected =
-          KHopSizesFromLevels({levels.data(), levels.size()}, spec.max_hops);
+      const std::vector<uint64_t> expected = testing_util::KHopSizesFromLevels(
+          {levels.data(), levels.size()}, spec.max_hops);
       if (got.khop_sizes != expected) return "khop_sizes mismatch";
       break;
     }

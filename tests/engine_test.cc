@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "algorithms/khop.h"
 #include "bfs/sequential.h"
 #include "differential/diff_util.h"
 #include "engine/query_engine.h"
@@ -30,6 +29,7 @@
 #include "sched/worker_pool.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "test_util.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -39,6 +39,7 @@ namespace {
 using diff::CorpusGraph;
 using diff::MakeCorpus;
 using diff::ReproNote;
+using testing_util::KHopSizesFromLevels;
 
 // Submit one kLevels query, wait, and diff the result byte-for-byte
 // against a fresh SequentialBfs run.
@@ -267,6 +268,102 @@ TEST(QueryEngineDifferentialTest, MixedTypeBatchesMatchOracle) {
         EXPECT_EQ(stats.queries_completed,
                   1u + kClients * (kBurst + kSingles))
             << note;
+      }
+    }
+  }
+}
+
+// One query of each type from `source`, each with the oracle row: the
+// targets are the source, its farthest vertex (twice), a vertex with
+// edges in another component and an isolated vertex, where the graph
+// has them; the k-hop radii are 0, 1 and one past the source's
+// eccentricity.
+std::vector<MixedQuery> LoneQueries(const Graph& graph, Vertex source) {
+  const Vertex n = graph.num_vertices();
+  std::vector<Level> expected(n);
+  SequentialBfs(graph, source, expected.data());
+  Level eccentricity = 0;
+  Vertex farthest = source;
+  Vertex other = source;
+  Vertex isolated = source;
+  for (Vertex v = 0; v < n; ++v) {
+    if (expected[v] != kLevelUnreached) {
+      if (expected[v] > eccentricity) {
+        eccentricity = expected[v];
+        farthest = v;
+      }
+    } else if (graph.Degree(v) > 0) {
+      other = v;
+    } else {
+      isolated = v;
+    }
+  }
+  std::vector<MixedQuery> queries;
+  auto add = [&](QueryType type) -> Query& {
+    queries.push_back({Query{}, expected});
+    Query& q = queries.back().query;
+    q.type = type;
+    q.source = source;
+    return q;
+  };
+  const std::vector<Vertex> targets = {source, farthest, other, isolated,
+                                       farthest};
+  add(QueryType::kLevels);
+  add(QueryType::kDistances).targets = targets;
+  add(QueryType::kReachability).targets = targets;
+  for (Level radius : {Level{0}, Level{1}, Level(eccentricity + 1)}) {
+    add(QueryType::kKHop).max_hops = radius;
+  }
+  for (Vertex t : {source, farthest, other, isolated}) {
+    add(QueryType::kPointToPointDistance).targets = {t};
+  }
+  return queries;
+}
+
+// Every query type alone: with no coalescing window and one query in
+// flight, each query is dispatched by itself (width 1) and runs the
+// single-source kernel, into full rows for kLevels and into the engine's
+// result sink for every other type. Runs with sketches off and on
+// (tolerance 0: a p2p answer from the sketch is exact too).
+TEST(QueryEngineDifferentialTest, LoneQueriesMatchOracle) {
+  WorkerPool pool({.num_workers = 4, .pin_threads = false});
+  for (int trial = 0; trial < diff::NumTrials(); ++trial) {
+    const uint64_t seed = diff::TrialSeed(trial);
+    SCOPED_TRACE(ReproNote(seed));
+    for (const CorpusGraph& gc : MakeCorpus(seed)) {
+      const Vertex n = gc.graph.num_vertices();
+      if (n == 0) continue;
+      Rng rng(SplitMix64(seed ^ 0x10e5ull));
+      const Vertex sources[] = {0, n / 2,
+                                static_cast<Vertex>(rng.NextBounded(n))};
+      for (bool sketches : {false, true}) {
+        const std::string note = "graph=" + gc.name +
+                                 (sketches ? " sketches=on " : " ") +
+                                 ReproNote(seed);
+        QueryEngineOptions options;
+        options.coalesce_wait_ms = 0;
+        options.enable_sketches = sketches;
+        options.sketch = {.num_clusters = 4, .cluster_size = 16};
+        options.sketch_workers = 1;
+        QueryEngine engine(gc.graph, &pool, options);
+        engine.WaitSketchIdle();
+        uint64_t traversed = 0;
+        for (Vertex source : sources) {
+          for (const MixedQuery& mq : LoneQueries(gc.graph, source)) {
+            const std::string query_note =
+                note + " type=" + QueryTypeName(mq.query.type) +
+                " source=" + std::to_string(source);
+            const QueryResult result = engine.Submit(mq.query).result.get();
+            CheckMixedAnswer(mq, result, query_note);
+            if (result.sketch_resolved) continue;
+            ++traversed;
+            EXPECT_EQ(result.trace.batch_width, 1u) << query_note;
+          }
+        }
+        engine.Drain();
+        const QueryEngineStats stats = engine.Stats();
+        EXPECT_EQ(stats.batches_run, 0u) << note;
+        EXPECT_EQ(stats.single_runs, traversed) << note;
       }
     }
   }

@@ -2,6 +2,8 @@
 #ifndef PBFS_TESTS_TEST_UTIL_H_
 #define PBFS_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,20 @@ inline int64_t FirstLevelMismatch(const std::vector<Level>& a,
     if (a[i] != b[i]) return static_cast<int64_t>(i);
   }
   return a.size() == b.size() ? -1 : static_cast<int64_t>(a.size());
+}
+
+// Cumulative neighborhood sizes read off one level row: result[h] =
+// number of vertices with 0 < level <= h, for h in [0, max_hops]. The
+// oracle for k-hop answers, which the library counts in a result sink.
+inline std::vector<uint64_t> KHopSizesFromLevels(std::span<const Level> levels,
+                                                 Level max_hops) {
+  std::vector<uint64_t> sizes(static_cast<size_t>(max_hops) + 1, 0);
+  for (const Level l : levels) {
+    if (l == kLevelUnreached || l == 0 || l > max_hops) continue;
+    ++sizes[l];
+  }
+  for (Level h = 1; h <= max_hops; ++h) sizes[h] += sizes[h - 1];
+  return sizes;
 }
 
 }  // namespace testing_util
